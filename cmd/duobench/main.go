@@ -7,8 +7,11 @@
 //	duobench -exp table2,fig5        # several
 //	duobench -exp all -scale small   # everything, bench scale
 //	duobench -list                   # show experiment ids
+//	duobench -bench pq               # PQ recall/crossover sweep → BENCH_pq.json
 //
 // Add -markdown to emit GitHub tables (used to build EXPERIMENTS.md).
+// Performance questions other than the PQ sweep belong to the benchmark in
+// bench/ (BENCHMARK.json), not to this command.
 package main
 
 import (
@@ -44,17 +47,8 @@ func run(args []string) error {
 		workers  = fs.Int("workers", 0, "worker count for parallel compute (0 = GOMAXPROCS, overrides DUO_PARALLEL)")
 		telem    = fs.Bool("telemetry", false, "aggregate instrumentation across all experiments and print a summary at the end")
 
-		bench    = fs.String("bench", "", "run micro-benchmarks instead of experiments (comma-separated: retrieve, conv, pq)")
-		benchOut = fs.String("benchout", ".", "directory for BENCH_*.json files (micro-benchmarks and -serve)")
-
-		serve          = fs.Bool("serve", false, "run the closed-loop saturation benchmark against a live TCP cluster")
-		serveNodes     = fs.Int("serve-nodes", 2, "node servers in the saturation cluster")
-		serveClients   = fs.Int("serve-clients", 8, "concurrent load-generator clients")
-		serveQPS       = fs.Float64("serve-qps", 0, "total target queries/s across clients (0 = unthrottled)")
-		serveDuration  = fs.Duration("serve-duration", 2*time.Second, "load duration")
-		maxInFlight    = fs.Int("max-inflight", 2, "per-node admission: max concurrent requests (0 = unlimited)")
-		maxQueue       = fs.Int("queue", 0, "per-node admission: queue slots beyond max-inflight (negative = none)")
-		coalesceWindow = fs.Duration("coalesce-window", 0, "coordinator coalescing window (0 = disabled)")
+		bench    = fs.String("bench", "", "run a benchmark instead of experiments (only \"pq\": exact vs IVF-probe vs PQ scan sweep)")
+		benchOut = fs.String("benchout", ".", "directory for BENCH_pq.json")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,20 +64,11 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *serve {
-		return runServe(serveOptions{
-			nodes:          *serveNodes,
-			clients:        *serveClients,
-			qps:            *serveQPS,
-			duration:       *serveDuration,
-			maxInFlight:    *maxInFlight,
-			maxQueue:       *maxQueue,
-			coalesceWindow: *coalesceWindow,
-			outDir:         *benchOut,
-		}, func(s string) { fmt.Print(s) })
-	}
 	if *bench != "" {
-		return runMicrobench(*bench, *benchOut, func(s string) { fmt.Print(s) })
+		if *bench != "pq" {
+			return fmt.Errorf("unknown bench id %q (want pq; everything else moved to bench/)", *bench)
+		}
+		return runPQBench(*benchOut, func(s string) { fmt.Print(s) })
 	}
 
 	opts := experiments.Options{Seed: *seed}

@@ -1,11 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -25,83 +20,11 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestRunServeRejectsBadOptions(t *testing.T) {
-	if err := run([]string{"-serve", "-serve-nodes", "0"}); err == nil {
-		t.Error("serve accepted zero nodes")
-	}
-	if err := run([]string{"-serve", "-serve-duration", "0s"}); err == nil {
-		t.Error("serve accepted zero duration")
-	}
-}
-
 func TestRunBenchUnknownID(t *testing.T) {
-	if err := run([]string{"-bench", "sort"}); err == nil {
-		t.Error("unknown bench id accepted")
-	}
-}
-
-func TestRunServeSaturation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live cluster run")
-	}
-	dir := t.TempDir()
-	err := run([]string{
-		"-serve", "-serve-duration", "500ms", "-serve-nodes", "2",
-		"-serve-clients", "8", "-max-inflight", "1", "-benchout", dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serveReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("BENCH_serve.json is not valid JSON: %v", err)
-	}
-	if rep.Served == 0 {
-		t.Error("saturation run served nothing")
-	}
-	if rep.Shed == 0 {
-		t.Error("1-slot nodes under 8-way load never shed")
-	}
-	if rep.Errors != 0 {
-		t.Errorf("%d non-overload errors during saturation", rep.Errors)
-	}
-	if len(rep.PerNode) != 2 {
-		t.Errorf("per-node reports = %d, want 2", len(rep.PerNode))
-	}
-	for _, n := range rep.PerNode {
-		if n.HighWater > 1 {
-			t.Errorf("node %d in-flight high-water %d exceeds max-inflight 1", n.Node, n.HighWater)
-		}
-	}
-
-	// The fleet rollup rides in the report and reconciles with the
-	// client-side tallies: every node has its own registry, so the merged
-	// admission counters are exactly the per-node sums.
-	if rep.Fleet == nil {
-		t.Fatal("BENCH_serve.json has no fleet rollup")
-	}
-	if rep.Fleet.Reachable != 2 || rep.Fleet.Nodes != 2 {
-		t.Fatalf("fleet rollup reach = %d/%d, want 2/2", rep.Fleet.Reachable, rep.Fleet.Nodes)
-	}
-	var admitted, sheds int64
-	for _, n := range rep.PerNode {
-		admitted += n.Admitted
-		sheds += n.Sheds
-	}
-	if got := rep.Fleet.Fleet.Counters["node.admission.admitted"]; got != admitted {
-		t.Errorf("fleet merged admitted = %d, want per-node sum %d", got, admitted)
-	}
-	if got := rep.Fleet.Fleet.Counters["node.admission.shed"]; got != sheds {
-		t.Errorf("fleet merged shed = %d, want per-node sum %d", got, sheds)
-	}
-	for _, fn := range rep.Fleet.PerNode {
-		if got := fn.Snapshot.Counters["node.admission.admitted"]; got != rep.PerNode[fn.Node].Admitted {
-			t.Errorf("node %d snapshot admitted = %d, want its own tally %d (shared-registry lumping?)",
-				fn.Node, got, rep.PerNode[fn.Node].Admitted)
+	// The retired modes must fail loudly, not fall through to the experiments.
+	for _, id := range []string{"sort", "retrieve", "conv", "strategies", "pq,conv"} {
+		if err := run([]string{"-bench", id}); err == nil {
+			t.Errorf("bench id %q accepted", id)
 		}
 	}
 }

@@ -5,7 +5,8 @@ package main
 // product-quantized ADC scan + exact re-rank over the same synthetic
 // gallery at 1×/10×/100× scale, reports recall@10 against the exact scan,
 // times the cold-start load of a persisted PQ index, and writes the whole
-// report to BENCH_pq.json — the perf trajectory ROADMAP item 1 asks for.
+// report to BENCH_pq.json — the only PQ number on file until bench/ grows a
+// serve_pq workload (ROADMAP item 1(b)).
 
 import (
 	"encoding/json"

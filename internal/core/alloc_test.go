@@ -90,8 +90,15 @@ func TestSparseQueryStepLoopZeroSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	_ = sparseQueryMallocs(t, 64) // warm the process-wide pools (metrics membership)
-	small := sparseQueryMallocs(t, 64)
-	large := sparseQueryMallocs(t, 192)
+	// Each measurement starts with a GC that ages the sync.Pools, so some
+	// runs re-allocate a few pooled objects (observed: the floor, or the
+	// floor + 4, for either budget). Compare the floors: a per-query
+	// allocation would lift every budget-192 run by ≥ 128.
+	small, large := ^uint64(0), ^uint64(0)
+	for attempt := 0; attempt < 10 && (attempt == 0 || large != small); attempt++ {
+		small = min(small, sparseQueryMallocs(t, 64))
+		large = min(large, sparseQueryMallocs(t, 192))
+	}
 	if large != small {
 		t.Errorf("steady-state walk allocates: %d mallocs at budget 64 vs %d at budget 192 (the 128 extra queries must be allocation-free)",
 			small, large)

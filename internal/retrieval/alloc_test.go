@@ -11,7 +11,7 @@ import (
 // exactly 0 allocs/op so a regression fails CI instead of showing up as a
 // benchmark drift.
 
-// TestScanTopMIntoZeroAllocs pins scanTopMInto at zero steady-state
+// TestScanTopMIntoZeroAllocs pins gallery.topM at zero steady-state
 // allocations: warm dst, warm scratch, single worker (the sequential fast
 // path — the parallel path necessarily allocates its fan-out closure).
 func TestScanTopMIntoZeroAllocs(t *testing.T) {
@@ -19,16 +19,16 @@ func TestScanTopMIntoZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
 	e, q := benchIndex(256, 32)
-	sc := new(scanScratch)
+	sc := new(galleryScratch)
 	dst := make([]Result, 0, 10)
 	got := allocsStable(func() {
-		dst = scanTopMInto(dst, q, e.ids, e.labels, e.feats, 10, 1, sc)
+		dst = e.g.topM(dst, q, 10, 1, sc)
 	})
 	if got != 0 {
-		t.Errorf("scanTopMInto with warm dst+scratch: %.1f allocs/op, want 0", got)
+		t.Errorf("topM with warm dst+scratch: %.1f allocs/op, want 0", got)
 	}
 	if len(dst) != 10 {
-		t.Fatalf("scanTopMInto returned %d results, want 10", len(dst))
+		t.Fatalf("topM returned %d results, want 10", len(dst))
 	}
 }
 
@@ -40,18 +40,17 @@ func TestPQAdcSelectZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
-	e, q := benchIndex(256, 32)
-	ix, err := NewPQIndex(e.ids, e.labels, e.feats, PQConfig{
+	e, feat := benchIndex(256, 32)
+	ix, err := trainPQ(e.g, PQConfig{
 		Subspaces:   8,
 		Centroids:   16,
 		Seed:        7,
 		RerankDepth: 32,
 	})
 	if err != nil {
-		t.Fatalf("NewPQIndex: %v", err)
+		t.Fatalf("trainPQ: %v", err)
 	}
 	defer ix.Close()
-	feat := q.Data()
 	sc := new(pqScratch)
 	got := allocsStable(func() {
 		_ = ix.adcSelect(feat, 10, 1, sc)

@@ -11,29 +11,18 @@ import (
 	"duo/internal/tensor"
 )
 
-// benchIndex builds a 1k-video synthetic index with dense 64-d features,
-// isolating the gallery scan (the Retrieve hot loop) from feature
-// extraction.
-func benchIndex(n, dim int) (*Engine, *tensor.Tensor) {
+// benchIndex builds a synthetic model-free engine of n dense dim-d rows
+// plus a query feature, isolating the gallery scan (the Retrieve hot loop)
+// from feature extraction.
+func benchIndex(n, dim int) (*Engine, []float64) {
 	rng := rand.New(rand.NewSource(11))
-	e := &Engine{}
-	for i := 0; i < n; i++ {
-		e.ids = append(e.ids, fmt.Sprintf("v%05d", i))
-		e.labels = append(e.labels, i%10)
-		e.feats = append(e.feats, tensor.RandNormal(rng, 0, 1, dim))
+	ids := make([]string, n)
+	labels := make([]int, n)
+	rows := make([]*tensor.Tensor, n)
+	for i := range rows {
+		ids[i], labels[i], rows[i] = fmt.Sprintf("v%05d", i), i%10, tensor.RandNormal(rng, 0, 1, dim)
 	}
-	return e, tensor.RandNormal(rng, 0, 1, dim)
-}
-
-// BenchmarkRetrieveSequential is the pre-parallel baseline: full sort of
-// the gallery per query (the original `nearest` path).
-func BenchmarkRetrieveSequential(b *testing.B) {
-	e, q := benchIndex(1000, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = nearest(q, e.ids, e.labels, e.feats, 10)
-	}
+	return &Engine{g: mustGallery(galleryFromRows(ids, labels, rows))}, tensor.RandNormal(rng, 0, 1, dim).Data()
 }
 
 // BenchmarkRetrieveParallel measures the sharded top-m scan (with pooled
@@ -46,7 +35,7 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = e.scan(q, 10, w)
+				_ = e.g.pooledTopM(&e.scratch, q, 10, w)
 			}
 		})
 	}
@@ -55,9 +44,8 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 // BenchmarkShardNearest measures the per-node scan of the distributed path
 // (single-threaded by design, pooled scratch).
 func BenchmarkShardNearest(b *testing.B) {
-	e, q := benchIndex(1000, 64)
-	s := &Shard{ids: e.ids, labels: e.labels, feats: e.feats}
-	feat := q.Data()
+	e, feat := benchIndex(1000, 64)
+	s := &Shard{g: e.g}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +78,7 @@ func TestDisabledTelemetryAddsNoAllocations(t *testing.T) {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
 	e, q := benchIndex(256, 32)
-	baseline := allocsStable(func() { _ = e.scan(q, 10, 1) })
+	baseline := allocsStable(func() { _ = e.g.pooledTopM(&e.scratch, q, 10, 1) })
 	instrumented := allocsStable(func() { _ = e.timedScan(q, 10, 1) })
 	if instrumented != baseline {
 		t.Errorf("disabled telemetry changed allocations: scan %.1f, timedScan %.1f allocs/op",
@@ -105,7 +93,7 @@ func TestEnabledTelemetryAddsNoAllocations(t *testing.T) {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
 	e, q := benchIndex(256, 32)
-	baseline := allocsStable(func() { _ = e.scan(q, 10, 1) })
+	baseline := allocsStable(func() { _ = e.g.pooledTopM(&e.scratch, q, 10, 1) })
 	e.SetTelemetry(telemetry.New())
 	instrumented := allocsStable(func() { _ = e.timedScan(q, 10, 1) })
 	if instrumented != baseline {

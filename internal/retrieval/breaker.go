@@ -174,10 +174,11 @@ func (b *BreakerTransport) report(probe bool, err error) {
 	if probe {
 		b.probing = false
 	}
-	if err == nil || errors.Is(err, ErrOverloaded) {
-		// A shed response proves the node alive, which is all the breaker
-		// cares about: it resets the automaton like a success (a half-open
-		// probe answered with ErrOverloaded re-closes the breaker).
+	if err == nil || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrBadRequest) {
+		// A shed or a refused-as-malformed response proves the node alive,
+		// which is all the breaker cares about: it resets the automaton like
+		// a success (a half-open probe answered with ErrOverloaded re-closes
+		// the breaker).
 		b.state = BreakerClosed
 		b.telState.Set(int64(b.state))
 		b.consecutive = 0

@@ -19,9 +19,7 @@ import (
 // identity and label metadata. It answers nearest-neighbour queries over
 // its slice only.
 type Shard struct {
-	ids     []string
-	labels  []int
-	feats   []*tensor.Tensor
+	g       gallery
 	scratch sync.Pool
 	tel     engineTel
 }
@@ -35,25 +33,17 @@ func (s *Shard) SetTelemetry(r *telemetry.Registry) {
 // NewShard builds a shard index for the given gallery slice under the
 // extractor (indexing happens once, at ingest, exactly as in Fig. 1).
 func NewShard(m models.Model, gallery []*video.Video) *Shard {
-	s := &Shard{}
-	for _, v := range gallery {
-		s.ids = append(s.ids, v.ID)
-		s.labels = append(s.labels, v.Label)
-		s.feats = append(s.feats, models.Embed(m, v))
-	}
-	return s
+	return &Shard{g: embedGallery(m, gallery)}
 }
 
 // NewShardFromFeatures builds a shard index directly from pre-extracted
 // feature rows (parallel slices), bypassing the extractor. Benchmarks and
 // index-conversion tools use it to study scan behaviour on synthetic or
-// re-loaded galleries.
+// re-loaded galleries. The shard views the rows' storage rather than
+// copying it, so the tensors must not be written afterwards; slices of
+// unequal length or rows of unequal dimension are a caller bug and panic.
 func NewShardFromFeatures(ids []string, labels []int, feats []*tensor.Tensor) *Shard {
-	return &Shard{
-		ids:    append([]string(nil), ids...),
-		labels: append([]int(nil), labels...),
-		feats:  append([]*tensor.Tensor(nil), feats...),
-	}
+	return &Shard{g: mustGallery(galleryFromRows(ids, labels, feats))}
 }
 
 // GalleryIndex is the node-side serving surface: a model-free index that
@@ -66,26 +56,31 @@ type GalleryIndex interface {
 	Nearest(feat []float64, m int) []Result
 	// Size returns the number of indexed entries.
 	Size() int
+	// Dim returns the feature dimension every query must have (0 for an
+	// empty index, which has none). A NodeServer checks it before calling
+	// Nearest, so a malformed frame is an error response, not a panic.
+	Dim() int
 }
 
 var _ GalleryIndex = (*Shard)(nil)
 
 // Size returns the number of indexed entries.
-func (s *Shard) Size() int { return len(s.ids) }
+func (s *Shard) Size() int { return s.g.size() }
+
+// Dim returns the feature dimension (0 for an empty shard).
+func (s *Shard) Dim() int { return s.g.dim }
 
 // Nearest returns the shard's top-m entries for the query feature. The
 // scan is single-threaded (the cluster's node fan-out is the unit of
 // parallelism) but uses the pooled top-m heap, so serving a query does not
-// allocate an O(shard) temporary.
+// allocate an O(shard) temporary. A feat of the wrong dimension panics.
 func (s *Shard) Nearest(feat []float64, m int) []Result {
 	s.tel.queries.Inc()
 	s.tel.topM.Observe(float64(m))
 	sw := s.tel.scanNs.Start()
-	sc := getScratch(&s.scratch)
-	rs := scanTopM(tensor.From(feat, len(feat)), s.ids, s.labels, s.feats, m, 1, sc)
-	s.scratch.Put(sc)
+	rs := s.g.pooledTopM(&s.scratch, feat, m, 1)
 	sw.Stop()
-	s.tel.scanned.Add(int64(len(s.ids)))
+	s.tel.scanned.Add(int64(s.g.size()))
 	return rs
 }
 

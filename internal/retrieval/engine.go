@@ -5,7 +5,6 @@
 package retrieval
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +12,6 @@ import (
 	"duo/internal/models"
 	"duo/internal/parallel"
 	"duo/internal/telemetry"
-	"duo/internal/tensor"
 	"duo/internal/trace"
 	"duo/internal/video"
 )
@@ -103,12 +101,10 @@ type TracedRetriever interface {
 // in-memory gallery index.
 type Engine struct {
 	model   models.Model
-	ids     []string
-	labels  []int
-	feats   []*tensor.Tensor
+	g       gallery
 	queries atomic.Int64
 	// scratch pools the sharded-scan workspace so a steady-state query
-	// allocates only its result slice (see topm.go).
+	// allocates only its result slice (see gallery.pooledTopM).
 	scratch sync.Pool
 	tel     engineTel
 }
@@ -118,13 +114,7 @@ var _ BatchRetriever = (*Engine)(nil)
 
 // NewEngine indexes the gallery under the given extractor.
 func NewEngine(m models.Model, gallery []*video.Video) *Engine {
-	e := &Engine{model: m}
-	for _, v := range gallery {
-		e.ids = append(e.ids, v.ID)
-		e.labels = append(e.labels, v.Label)
-		e.feats = append(e.feats, models.Embed(m, v))
-	}
-	return e
+	return &Engine{model: m, g: embedGallery(m, gallery)}
 }
 
 // Model exposes the engine's feature extractor (white-box access used only
@@ -132,7 +122,7 @@ func NewEngine(m models.Model, gallery []*video.Video) *Engine {
 func (e *Engine) Model() models.Model { return e.model }
 
 // GallerySize returns the number of indexed videos.
-func (e *Engine) GallerySize() int { return len(e.ids) }
+func (e *Engine) GallerySize() int { return e.g.size() }
 
 // SetTelemetry wires the engine's instruments into the registry under the
 // "retrieval" prefix; a nil registry disables instrumentation (the
@@ -155,7 +145,7 @@ func (e *Engine) ResetQueryCount() { e.queries.Store(0) }
 func (e *Engine) Retrieve(v *video.Video, m int) []Result {
 	e.queries.Add(1)
 	feat := models.Embed(e.model, v)
-	return e.timedScan(feat, m, parallel.Workers())
+	return e.timedScan(feat.Data(), m, parallel.Workers())
 }
 
 // RetrieveBatch implements BatchRetriever: queries fan out across workers
@@ -167,7 +157,7 @@ func (e *Engine) RetrieveBatch(vs []*video.Video, m int) [][]Result {
 	out := make([][]Result, len(vs))
 	parallel.For(len(vs), func(_, start, end int) {
 		for i := start; i < end; i++ {
-			out[i] = e.timedScan(models.Embed(e.model, vs[i]), m, 1)
+			out[i] = e.timedScan(models.Embed(e.model, vs[i]).Data(), m, 1)
 		}
 	})
 	return out
@@ -175,44 +165,17 @@ func (e *Engine) RetrieveBatch(vs []*video.Video, m int) [][]Result {
 
 // timedScan is the instrumented Retrieve hot path: the pooled sharded scan
 // plus the per-query telemetry records. With telemetry disabled (nil
-// instruments) it is bit- and allocation-identical to calling scan
+// instruments) it is bit- and allocation-identical to calling pooledTopM
 // directly — the zero-overhead contract the disabled-telemetry benchmark
 // pins down.
-func (e *Engine) timedScan(feat *tensor.Tensor, m, workers int) []Result {
+func (e *Engine) timedScan(feat []float64, m, workers int) []Result {
 	e.tel.queries.Inc()
 	e.tel.topM.Observe(float64(m))
 	sw := e.tel.scanNs.Start()
-	rs := e.scan(feat, m, workers)
+	rs := e.g.pooledTopM(&e.scratch, feat, m, workers)
 	sw.Stop()
-	e.tel.scanned.Add(int64(len(e.ids)))
+	e.tel.scanned.Add(int64(e.g.size()))
 	return rs
-}
-
-// scan runs the pooled sharded top-m scan over the engine's index.
-func (e *Engine) scan(feat *tensor.Tensor, m, workers int) []Result {
-	sc := getScratch(&e.scratch)
-	defer e.scratch.Put(sc)
-	return scanTopM(feat, e.ids, e.labels, e.feats, m, workers, sc)
-}
-
-// nearest scores feat against an index and returns the top-m entries,
-// sorted ascending by distance with ID tie-breaking for determinism. It is
-// the sequential sort-everything reference that the sharded scan
-// (scanTopM) must reproduce bitwise; tests and the fuzz oracle diff the
-// two paths.
-func nearest(feat *tensor.Tensor, ids []string, labels []int, feats []*tensor.Tensor, m int) []Result {
-	res := make([]Result, len(ids))
-	for i := range ids {
-		res[i] = Result{ID: ids[i], Label: labels[i], Dist: feat.Distance(feats[i])}
-	}
-	sort.Slice(res, func(a, b int) bool { return resultLess(res[a], res[b]) })
-	if m > len(res) {
-		m = len(res)
-	}
-	if m < 0 {
-		m = 0
-	}
-	return res[:m]
 }
 
 // IDs extracts the ID sequence of a result list (the R^m(v) lists consumed
@@ -280,4 +243,31 @@ func Evaluate(r Retriever, queries []*video.Video, m int) Quality {
 		RecallAt1: metrics.RecallAtK(rel, 1),
 		MRR:       metrics.MRR(rel),
 	}
+}
+
+// RecallAtM measures the fraction of the exact retriever's top-m an
+// approximate one also returns, averaged over the queries — the standard
+// ANN recall diagnostic.
+func RecallAtM(exact, approx Retriever, queries []*video.Video, m int) float64 {
+	if len(queries) == 0 || m <= 0 {
+		return 0
+	}
+	total := 0.0
+	for _, q := range queries {
+		want := map[string]bool{}
+		for _, r := range exact.Retrieve(q, m) {
+			want[r.ID] = true
+		}
+		if len(want) == 0 {
+			continue
+		}
+		hit := 0
+		for _, r := range approx.Retrieve(q, m) {
+			if want[r.ID] {
+				hit++
+			}
+		}
+		total += float64(hit) / float64(len(want))
+	}
+	return total / float64(len(queries))
 }

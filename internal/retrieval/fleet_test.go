@@ -135,6 +135,15 @@ func TestFleetSnapshotMergesExactly(t *testing.T) {
 	if _, merged := view.Fleet.Counters["cluster.queries"]; merged {
 		t.Error("coordinator counters leaked into the node merge")
 	}
+
+	// Each node reports from its own registry, not a share of a lumped one:
+	// every scatter reached every node exactly once, so every node's own
+	// admission tally equals the coordinator's query count.
+	for _, fn := range view.PerNode {
+		if got, want := fn.Snapshot.Counters["node.admission.admitted"], view.Coordinator.Counters["cluster.queries"]; got != want {
+			t.Errorf("node %d admitted = %d, want its own tally %d (shared-registry lumping?)", fn.Node, got, want)
+		}
+	}
 }
 
 // TestFleetSnapshotByteStable: two snapshots of an idle fleet marshal to
@@ -213,7 +222,7 @@ func TestTCPStatsAgainstLegacyServer(t *testing.T) {
 // gateIndex blocks every scan until released, so a test can hold a
 // node's only in-flight slot at a deterministic point.
 type gateIndex struct {
-	inner   GalleryIndex
+	GalleryIndex
 	entered chan struct{}
 	release chan struct{}
 }
@@ -221,10 +230,8 @@ type gateIndex struct {
 func (g *gateIndex) Nearest(feat []float64, m int) []Result {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.inner.Nearest(feat, m)
+	return g.GalleryIndex.Nearest(feat, m)
 }
-
-func (g *gateIndex) Size() int { return g.inner.Size() }
 
 // TestStatsBypassesAdmission: a saturated node sheds scans but still
 // answers the stats probe — observability stays readable under overload.
@@ -232,9 +239,9 @@ func TestStatsBypassesAdmission(t *testing.T) {
 	m, corpus := chaosSystem(t)
 	reg := telemetry.New()
 	gate := &gateIndex{
-		inner:   NewShard(m, corpus.Train),
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
+		GalleryIndex: NewShard(m, corpus.Train),
+		entered:      make(chan struct{}, 1),
+		release:      make(chan struct{}),
 	}
 	srv, err := ServeNodeConfig("127.0.0.1:0", gate, NodeServerConfig{
 		Telemetry: reg,

@@ -10,11 +10,8 @@ import (
 // FuzzReadShard hardens the index decoder: corrupted bytes must yield an
 // error or a consistent shard, never a panic or an inconsistent index.
 func FuzzReadShard(f *testing.F) {
-	shard := &Shard{
-		ids:    []string{"a", "b"},
-		labels: []int{0, 1},
-		feats:  []*tensor.Tensor{tensor.From([]float64{1, 2}, 2), tensor.From([]float64{3, 4}, 2)},
-	}
+	shard := NewShardFromFeatures([]string{"a", "b"}, []int{0, 1},
+		[]*tensor.Tensor{tensor.From([]float64{1, 2}, 2), tensor.From([]float64{3, 4}, 2)})
 	var buf bytes.Buffer
 	if err := shard.WriteIndex(&buf); err != nil {
 		f.Fatal(err)
@@ -40,8 +37,7 @@ func FuzzReadShard(f *testing.F) {
 		if got.Size() == 0 {
 			return
 		}
-		dim := got.feats[0].Len()
-		rs := got.Nearest(make([]float64, dim), got.Size()+5)
+		rs := got.Nearest(make([]float64, got.Dim()), got.Size()+5)
 		if len(rs) > got.Size() {
 			t.Fatalf("returned %d results from %d entries", len(rs), got.Size())
 		}

@@ -1,0 +1,198 @@
+package retrieval
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"duo/internal/models"
+	"duo/internal/tensor"
+	"duo/internal/video"
+)
+
+// gallery is the one in-memory feature store behind Engine, Shard and
+// PQIndex: identity metadata plus n feature rows of one dimension. Rows are
+// views: over one contiguous n×dim row-major matrix when the gallery was
+// loaded from a file (persist.go's indexRecord, the tail section of a
+// DUOPQIDX mapping — used in place), over the caller's tensors when it was
+// built from rows, so a gallery never holds a second copy of features its
+// caller keeps. A gallery is read-only after construction.
+type gallery struct {
+	ids    []string
+	labels []int
+	dim    int
+	rows   [][]float64
+}
+
+// checkShape is the single place the store's shape invariants are stated,
+// for in-process constructors and index files alike; the scan itself never
+// re-checks a row.
+func checkShape(ids []string, labels []int, dim int) error {
+	if len(ids) != len(labels) {
+		return fmt.Errorf("retrieval: index has %d ids but %d labels", len(ids), len(labels))
+	}
+	if dim <= 0 && len(ids) > 0 {
+		return fmt.Errorf("retrieval: index has non-positive feature dim %d", dim)
+	}
+	return nil
+}
+
+// newGallery validates a gallery stored as one n×dim row-major matrix (the
+// on-disk shape) and views it in place.
+func newGallery(ids []string, labels []int, dim int, feats []float64) (gallery, error) {
+	if err := checkShape(ids, labels, dim); err != nil {
+		return gallery{}, err
+	}
+	n := len(ids)
+	// Division, not n*dim: a hostile header must not overflow its way past
+	// the check.
+	if (n == 0 && len(feats) != 0) || (n > 0 && (len(feats)%dim != 0 || len(feats)/dim != n)) {
+		return gallery{}, fmt.Errorf("retrieval: index has %d feature values, want %d rows of dim %d", len(feats), n, dim)
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = feats[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return gallery{ids: ids, labels: labels, dim: dim, rows: rows}, nil
+}
+
+// galleryFromRows builds a gallery over parallel id/label/feature-row
+// slices, rejecting ragged rows. ids and labels are copied; the rows'
+// storage is aliased, not copied, so the tensors must not be written
+// afterwards.
+func galleryFromRows(ids []string, labels []int, feats []*tensor.Tensor) (gallery, error) {
+	if len(ids) != len(feats) {
+		return gallery{}, fmt.Errorf("retrieval: %d ids for %d features", len(ids), len(feats))
+	}
+	dim := 0
+	if len(feats) > 0 {
+		dim = feats[0].Len()
+	}
+	if err := checkShape(ids, labels, dim); err != nil {
+		return gallery{}, err
+	}
+	rows := make([][]float64, len(feats))
+	for i, f := range feats {
+		if f.Len() != dim {
+			return gallery{}, fmt.Errorf("retrieval: feature %d has dim %d, want %d", i, f.Len(), dim)
+		}
+		rows[i] = f.Data()
+	}
+	return gallery{ids: append([]string(nil), ids...), labels: append([]int(nil), labels...), dim: dim, rows: rows}, nil
+}
+
+// mustGallery unwraps a gallery built from in-process data: a malformed
+// one there is a caller bug, not input.
+func mustGallery(g gallery, err error) gallery {
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
+}
+
+// embedGallery indexes the videos under the extractor (indexing happens
+// once, at ingest, exactly as in Fig. 1).
+func embedGallery(m models.Model, vs []*video.Video) gallery {
+	ids := make([]string, len(vs))
+	labels := make([]int, len(vs))
+	rows := make([]*tensor.Tensor, len(vs))
+	for i, v := range vs {
+		ids[i], labels[i], rows[i] = v.ID, v.Label, models.Embed(m, v)
+	}
+	return mustGallery(galleryFromRows(ids, labels, rows))
+}
+
+func (g *gallery) size() int { return len(g.ids) }
+
+// flat returns the rows as one fresh n×dim row-major matrix (the on-disk
+// shape).
+func (g *gallery) flat() []float64 {
+	feats := make([]float64, 0, len(g.rows)*g.dim)
+	for _, r := range g.rows {
+		feats = append(feats, r...)
+	}
+	return feats
+}
+
+// checkQuery is the per-query half of the shape contract: rows were
+// validated at construction, so one length check per query replaces a
+// per-row one. An empty gallery has no dimension to mismatch.
+func (g *gallery) checkQuery(q []float64) {
+	if g.size() > 0 && len(q) != g.dim {
+		panic(fmt.Sprintf("retrieval: query dim %d, index dim %d", len(q), g.dim))
+	}
+}
+
+// l2sq is the flat-slice squared L2 distance. The loop mirrors
+// tensor.SquaredDistance element for element, so distances are
+// bitwise-identical to the tensor-based ones the goldens were frozen with.
+func l2sq(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		d := v - b[i]
+		s += d * d
+	}
+	return s
+}
+
+// galleryScratch is the pooled per-query workspace of an exact scan. dist
+// is the row-scoring closure, created once per scratch and re-targeted per
+// query through the g/q fields — a closure built inside the query path
+// would escape into the scan's worker goroutines and heap-allocate on
+// every call.
+type galleryScratch struct {
+	idx  idxScratch
+	g    *gallery
+	q    []float64
+	dist func(i int) float64
+}
+
+// l2Dist returns the scratch's reusable closure. Rows are ordered by the
+// rooted distance, not the squared one: sqrt is monotone but not injective
+// in float64, so selecting on squares could flip an ID tie-break.
+func (sc *galleryScratch) l2Dist() func(i int) float64 {
+	if sc.dist == nil {
+		sc.dist = func(i int) float64 { return math.Sqrt(l2sq(sc.q, sc.g.rows[i])) }
+	}
+	return sc.dist
+}
+
+// topM writes the gallery's m nearest entries to q into dst (grown only
+// when its capacity is short) in the service-wide (Dist, ID) order,
+// scanning with up to `workers` shards. The list is bitwise-identical at
+// every worker count; m is clamped to [0, size] before anything is
+// allocated. With a warm scratch and dst a single-worker scan performs
+// zero heap allocations.
+//
+//duolint:hot
+func (g *gallery) topM(dst []Result, q []float64, m, workers int, sc *galleryScratch) []Result {
+	g.checkQuery(q)
+	if n := g.size(); m > n {
+		m = n
+	}
+	if m < 0 {
+		m = 0
+	}
+	if cap(dst) < m || dst == nil {
+		dst = make([]Result, m) // non-nil even for m == 0
+	}
+	dst = dst[:m]
+	sc.g, sc.q = g, q
+	for i, c := range scanTopMIdx(g.size(), m, workers, sc.l2Dist(), g.ids, &sc.idx) {
+		dst[i] = Result{ID: g.ids[c.row], Label: g.labels[c.row], Dist: c.dist}
+	}
+	return dst
+}
+
+// pooledTopM is topM into a fresh caller-owned slice with a scratch drawn
+// from the owner's pool (a zero-value pool works), so a steady-state query
+// allocates only its result list, never an O(gallery) temporary.
+func (g *gallery) pooledTopM(pool *sync.Pool, q []float64, m, workers int) []Result {
+	sc, _ := pool.Get().(*galleryScratch)
+	if sc == nil {
+		sc = new(galleryScratch)
+	}
+	rs := g.topM(nil, q, m, workers, sc)
+	pool.Put(sc)
+	return rs
+}

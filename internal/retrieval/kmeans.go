@@ -21,12 +21,12 @@ type KMeansResult struct {
 }
 
 // KMeans fits k centroids to the vectors with Lloyd's algorithm and
-// k-means++ seeding. It is the coarse quantizer behind the IVF index and
-// the per-subspace codebook trainer behind the PQ index. Clusters that
-// empty out during Lloyd iterations are re-seeded deterministically from
-// the point farthest from its assigned centroid, so a fitted codebook
-// never silently carries dead centroids (unless the data has fewer
-// distinct points than k).
+// k-means++ seeding. It is the per-subspace codebook trainer behind the PQ
+// index (and the coarse quantizer of duobench's cell-probe baseline).
+// Clusters that empty out during Lloyd iterations are re-seeded
+// deterministically from the point farthest from its assigned centroid, so
+// a fitted codebook never silently carries dead centroids (unless the data
+// has fewer distinct points than k).
 func KMeans(rng *rand.Rand, vectors []*tensor.Tensor, k, maxIter int) (*KMeansResult, error) {
 	n := len(vectors)
 	if n == 0 {

@@ -87,76 +87,6 @@ func TestKMeansDeterministic(t *testing.T) {
 	}
 }
 
-func TestIVFEngineFullProbeMatchesExact(t *testing.T) {
-	eng, c, m := testSystem(t)
-	ivf, err := NewIVFEngine(m, c.Train, IVFConfig{NList: 4, NProbe: 4, KMeansIters: 20, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Probing every cell is exhaustive: results must match the exact
-	// engine's.
-	for _, q := range c.Test[:4] {
-		a := IDs(eng.Retrieve(q, 6))
-		b := IDs(ivf.Retrieve(q, 6))
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("full-probe IVF differs at %d: %v vs %v", i, a, b)
-			}
-		}
-	}
-	if ivf.GallerySize() != eng.GallerySize() {
-		t.Errorf("IVF size %d vs %d", ivf.GallerySize(), eng.GallerySize())
-	}
-}
-
-func TestIVFEngineRecallReasonable(t *testing.T) {
-	eng, c, m := testSystem(t)
-	ivf, err := NewIVFEngine(m, c.Train, IVFConfig{NList: 6, NProbe: 2, KMeansIters: 20, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recall := RecallAtM(eng, ivf, c.Test, 5)
-	if recall < 0.5 {
-		t.Errorf("recall@5 = %g with nprobe=2/6, want ≥ 0.5", recall)
-	}
-	// More probes must not reduce recall.
-	ivf4, err := NewIVFEngine(m, c.Train, IVFConfig{NList: 6, NProbe: 5, KMeansIters: 20, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4 := RecallAtM(eng, ivf4, c.Test, 5); r4 < recall-1e-9 {
-		t.Errorf("recall fell with more probes: %g → %g", recall, r4)
-	}
-}
-
-func TestIVFEngineConfigValidation(t *testing.T) {
-	_, c, m := testSystem(t)
-	bad := []IVFConfig{
-		{NList: 0, NProbe: 1},
-		{NList: len(c.Train) + 1, NProbe: 1},
-		{NList: 2, NProbe: 0},
-		{NList: 2, NProbe: 3},
-	}
-	for i, cfg := range bad {
-		if _, err := NewIVFEngine(m, c.Train, cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
-	}
-	if _, err := NewIVFEngine(m, nil, IVFConfig{NList: 1, NProbe: 1}); err == nil {
-		t.Error("empty gallery accepted")
-	}
-}
-
-func TestRecallAtMEdgeCases(t *testing.T) {
-	eng, c, _ := testSystem(t)
-	if got := RecallAtM(eng, eng, nil, 5); got != 0 {
-		t.Errorf("recall on no queries = %g", got)
-	}
-	if got := RecallAtM(eng, eng, c.Test, 5); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self recall = %g, want 1", got)
-	}
-}
-
 // TestKMeansNoEmptyClusters pins the farthest-point re-seeding contract:
 // whenever the data has at least k distinct points, a fitted codebook
 // never returns a dead centroid — every cell owns at least one point.

@@ -2,12 +2,12 @@ package retrieval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
-	"duo/internal/models"
 	"duo/internal/parallel"
 	"duo/internal/tensor"
 	"duo/internal/video"
@@ -28,16 +28,17 @@ func syntheticIndex(rng *rand.Rand, n int) (ids []string, labels []int, feats []
 // TestScanTopMMatchesSequential is the core equivalence test: the sharded
 // heap scan must be bitwise-identical to the sequential sort-everything
 // path at every worker count, including shard layouts that don't divide
-// evenly, galleries smaller than the worker count, and m out of range.
+// evenly, galleries smaller than the worker count, and m out of range
+// (math.MaxInt pins the clamp-before-allocate: an absurd m costs nothing).
 func TestScanTopMMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	query := tensor.From([]float64{0.5}, 1)
 	for _, n := range []int{0, 1, 2, 3, 7, 10, 33} {
 		ids, labels, feats := syntheticIndex(rng, n)
-		for _, m := range []int{-1, 0, 1, 2, n / 2, n, n + 5} {
+		for _, m := range []int{-1, 0, 1, 2, n / 2, n, n + 5, math.MaxInt} {
 			want := nearest(query, ids, labels, feats, m)
 			for _, w := range []int{1, 2, 7} {
-				got := scanTopM(query, ids, labels, feats, m, w, nil)
+				got := scanRows(query, ids, labels, feats, m, w, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("n=%d m=%d workers=%d: sharded scan diverged\n got %v\nwant %v", n, m, w, got, want)
 				}
@@ -71,7 +72,7 @@ func TestGalleryOfOne(t *testing.T) {
 	query := tensor.From([]float64{2}, 1)
 	want := nearest(query, ids, labels, feats, 5)
 	for _, w := range []int{1, 2, 7} {
-		got := scanTopM(query, ids, labels, feats, 5, w, nil)
+		got := scanRows(query, ids, labels, feats, 5, w, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged on gallery of 1", w)
 		}
@@ -117,42 +118,6 @@ func TestClusterRetrieveBatchMatchesRetrieve(t *testing.T) {
 		want := cl.Retrieve(v, 5)
 		if !reflect.DeepEqual(batch[i], want) {
 			t.Fatalf("cluster batch[%d] != Retrieve", i)
-		}
-	}
-}
-
-// TestIVFRetrieveWorkerCountInvariant checks the probed-cell scan against
-// a naive in-package oracle and across worker counts.
-func TestIVFRetrieveWorkerCountInvariant(t *testing.T) {
-	eng, c, m := testSystem(t)
-	_ = eng
-	ivf, err := NewIVFEngine(m, c.Train, IVFConfig{NList: 4, NProbe: 4, KMeansIters: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := c.Test[1]
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-	want := ivf.Retrieve(q, 6)
-	// NProbe == NList, so the probe must agree with the exact engine scan.
-	feat := models.Embed(m, q)
-	var ids []string
-	var labels []int
-	var feats []*tensor.Tensor
-	for _, cell := range ivf.lists {
-		for _, e := range cell {
-			ids = append(ids, e.id)
-			labels = append(labels, e.label)
-			feats = append(feats, e.feat)
-		}
-	}
-	if oracle := nearest(feat, ids, labels, feats, 6); !reflect.DeepEqual(want, oracle) {
-		t.Fatalf("IVF full-probe scan != naive oracle:\n got %v\nwant %v", want, oracle)
-	}
-	for _, w := range []int{2, 7} {
-		parallel.SetWorkers(w)
-		if got := ivf.Retrieve(q, 6); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: IVF Retrieve diverged", w)
 		}
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"io"
 
 	"duo/internal/models"
-	"duo/internal/tensor"
 )
 
-// indexRecord is the on-disk form of a feature index: flat feature storage
-// plus identity metadata. Feature extraction is the expensive part of
-// ingest, so production nodes persist the index and reload it on restart.
+// indexRecord is the on-disk form of a gallery — identity metadata plus the
+// rows as one n×dim row-major matrix — under the exported names (and the
+// type name) gob has always written, so files from every earlier version
+// load and new files are byte-identical. Feature extraction is the
+// expensive part of ingest, so production nodes persist the index and
+// reload it on restart.
 type indexRecord struct {
 	IDs    []string
 	Labels []int
@@ -19,78 +21,49 @@ type indexRecord struct {
 	Feats  []float64
 }
 
-func buildRecord(ids []string, labels []int, feats []*tensor.Tensor) indexRecord {
-	rec := indexRecord{IDs: ids, Labels: labels}
-	if len(feats) > 0 {
-		rec.Dim = feats[0].Len()
-	}
-	for _, f := range feats {
-		rec.Feats = append(rec.Feats, f.Data()...)
-	}
-	return rec
-}
-
-func (r indexRecord) unpack() ([]string, []int, []*tensor.Tensor, error) {
-	if len(r.IDs) != len(r.Labels) {
-		return nil, nil, nil, fmt.Errorf("retrieval: index has %d ids but %d labels", len(r.IDs), len(r.Labels))
-	}
-	if r.Dim <= 0 && len(r.IDs) > 0 {
-		return nil, nil, nil, fmt.Errorf("retrieval: index has non-positive feature dim %d", r.Dim)
-	}
-	if len(r.IDs)*r.Dim != len(r.Feats) {
-		return nil, nil, nil, fmt.Errorf("retrieval: index has %d feature values, want %d", len(r.Feats), len(r.IDs)*r.Dim)
-	}
-	feats := make([]*tensor.Tensor, len(r.IDs))
-	for i := range feats {
-		feats[i] = tensor.From(r.Feats[i*r.Dim:(i+1)*r.Dim], r.Dim)
-	}
-	return r.IDs, r.Labels, feats, nil
-}
-
-// WriteIndex persists the shard's feature index with encoding/gob.
-func (s *Shard) WriteIndex(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(buildRecord(s.ids, s.labels, s.feats)); err != nil {
+func (g *gallery) writeIndex(w io.Writer) error {
+	if err := gob.NewEncoder(w).Encode(indexRecord{IDs: g.ids, Labels: g.labels, Dim: g.dim, Feats: g.flat()}); err != nil {
 		return fmt.Errorf("retrieval: encode index: %w", err)
 	}
 	return nil
 }
 
-// ReadShard loads a shard index previously written with WriteIndex.
-func ReadShard(r io.Reader) (*Shard, error) {
+// readGallery decodes an index file; newGallery rejects an inconsistent
+// one, so a corrupt file is an error, never a panic at query time.
+func readGallery(r io.Reader) (gallery, error) {
 	var rec indexRecord
 	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("retrieval: decode index: %w", err)
+		return gallery{}, fmt.Errorf("retrieval: decode index: %w", err)
 	}
-	ids, labels, feats, err := rec.unpack()
+	return newGallery(rec.IDs, rec.Labels, rec.Dim, rec.Feats)
+}
+
+// WriteIndex persists the shard's feature index with encoding/gob.
+func (s *Shard) WriteIndex(w io.Writer) error { return s.g.writeIndex(w) }
+
+// ReadShard loads a shard index previously written with WriteIndex.
+func ReadShard(r io.Reader) (*Shard, error) {
+	g, err := readGallery(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{ids: ids, labels: labels, feats: feats}, nil
+	return &Shard{g: g}, nil
 }
 
 // WriteIndex persists the engine's gallery index (features only — the
 // extractor model is reconstructed separately, e.g. from its seed).
-func (e *Engine) WriteIndex(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(buildRecord(e.ids, e.labels, e.feats)); err != nil {
-		return fmt.Errorf("retrieval: encode index: %w", err)
-	}
-	return nil
-}
+func (e *Engine) WriteIndex(w io.Writer) error { return e.g.writeIndex(w) }
 
 // ReadEngine loads an engine index previously written with WriteIndex and
 // attaches the query-side extractor m (which must be the model that built
 // the index, or retrieval distances are meaningless).
 func ReadEngine(r io.Reader, m models.Model) (*Engine, error) {
-	var rec indexRecord
-	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("retrieval: decode index: %w", err)
-	}
-	ids, labels, feats, err := rec.unpack()
+	g, err := readGallery(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(feats) > 0 && m.FeatureDim() != rec.Dim {
-		return nil, fmt.Errorf("retrieval: model dim %d does not match index dim %d", m.FeatureDim(), rec.Dim)
+	if g.size() > 0 && m.FeatureDim() != g.dim {
+		return nil, fmt.Errorf("retrieval: model dim %d does not match index dim %d", m.FeatureDim(), g.dim)
 	}
-	return &Engine{model: m, ids: ids, labels: labels, feats: feats}, nil
+	return &Engine{model: m, g: g}, nil
 }

@@ -2,10 +2,12 @@ package retrieval
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
 	"duo/internal/models"
+	"duo/internal/tensor"
 )
 
 func TestEngineIndexRoundTrip(t *testing.T) {
@@ -69,5 +71,48 @@ func TestReadEngineDimMismatch(t *testing.T) {
 func TestReadShardGarbage(t *testing.T) {
 	if _, err := ReadShard(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestGalleryShapeRejectedWhereDataEnters: the scan never re-checks a row,
+// so every way data gets into a gallery must refuse an inconsistent one —
+// a well-formed gob file with the wrong shape is an error, and a ragged
+// in-process gallery is a caller bug that fails at construction, not at
+// query time.
+func TestGalleryShapeRejectedWhereDataEnters(t *testing.T) {
+	bad := map[string]indexRecord{
+		"ids/labels":      {IDs: []string{"a", "b"}, Labels: []int{0}, Dim: 1, Feats: []float64{1, 2}},
+		"zero dim":        {IDs: []string{"a"}, Labels: []int{0}, Dim: 0},
+		"negative dim":    {IDs: []string{"a"}, Labels: []int{0}, Dim: -2, Feats: []float64{1, 2}},
+		"short feats":     {IDs: []string{"a", "b"}, Labels: []int{0, 1}, Dim: 2, Feats: []float64{1, 2, 3}},
+		"overflowing dim": {IDs: []string{"a", "b"}, Labels: []int{0, 1}, Dim: 1 << 62},
+		"rows, no ids":    {Dim: 2, Feats: []float64{1, 2}},
+	}
+	for name, rec := range bad {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadShard(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("ReadShard accepted %s", name)
+		}
+		if _, err := ReadEngine(bytes.NewReader(buf.Bytes()), identityModel{dim: rec.Dim}); err == nil {
+			t.Errorf("ReadEngine accepted %s", name)
+		}
+	}
+
+	row := func(vals ...float64) *tensor.Tensor { return tensor.From(vals, len(vals)) }
+	for name, build := range map[string]func(){
+		"ragged rows": func() { NewShardFromFeatures([]string{"a", "b"}, []int{0, 1}, []*tensor.Tensor{row(1, 2), row(3)}) },
+		"short ids":   func() { NewShardFromFeatures([]string{"a"}, []int{0, 1}, []*tensor.Tensor{row(1), row(2)}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewShardFromFeatures accepted %s", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

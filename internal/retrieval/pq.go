@@ -125,13 +125,17 @@ func (sc *pqScratch) adcDist() func(i int) float64 {
 	return sc.dist
 }
 
-// PQIndex is a model-free product-quantized gallery index: codebooks, the
-// byte code matrix, and the exact feature rows used for re-ranking. It
-// answers raw-feature queries (the node-side GalleryIndex surface) and is
-// the unit persisted by pqfile.go. All storage is flat and read-only after
-// construction, so a loaded index can alias a memory-mapped file directly.
+// PQIndex is a model-free product-quantized gallery index: codebooks and
+// the byte code matrix over the same gallery store the exact tiers scan.
+// It answers raw-feature queries (the node-side GalleryIndex surface) and
+// is the unit persisted by pqfile.go. All storage is read-only after
+// construction, so a loaded index aliases a memory-mapped file directly.
 type PQIndex struct {
-	dim    int
+	// g holds identity metadata and the exact feature rows. The rows are
+	// read by the re-rank only — the ADC scan never touches them, which is
+	// what makes the scan cheap and the mmap'd layout lazy.
+	g gallery
+
 	nsub   int
 	k      int
 	rerank int
@@ -144,13 +148,6 @@ type PQIndex struct {
 	cbOff []int
 	// codes is the n×nsub row-major code matrix.
 	codes []byte
-	// feats is the n×dim row-major exact feature matrix (re-rank only —
-	// the ADC scan never touches it, which is what makes the scan cheap
-	// and the mmap'd layout lazy).
-	feats []float64
-
-	ids    []string
-	labels []int
 
 	// closer releases a memory-mapped backing file (nil for built or
 	// copy-decoded indexes).
@@ -179,45 +176,41 @@ func pqCodebookOffsets(dim, nsub, k int) []int {
 
 // NewPQIndex trains a product-quantized index over the feature rows.
 // ids/labels/feats are parallel slices; every feature must share one
-// dimension. Training is deterministic: each subspace codebook is fit by
-// the seeded KMeans with an independent per-subspace seed, so the result
-// is bitwise-identical at every worker count.
+// dimension, and the index views the features' storage (its re-rank rows)
+// rather than copying it, so the tensors must not be written afterwards.
+// Training is deterministic: each subspace codebook is fit by the seeded
+// KMeans with an independent per-subspace seed, so the result is
+// bitwise-identical at every worker count.
 func NewPQIndex(ids []string, labels []int, feats []*tensor.Tensor, cfg PQConfig) (*PQIndex, error) {
-	n := len(feats)
+	g, err := galleryFromRows(ids, labels, feats)
+	if err != nil {
+		return nil, err
+	}
+	return trainPQ(g, cfg)
+}
+
+// trainPQ fits the codebooks and codes of an index over g.
+func trainPQ(g gallery, cfg PQConfig) (*PQIndex, error) {
+	n := g.size()
 	if n == 0 {
 		return nil, fmt.Errorf("retrieval: pq: empty gallery")
-	}
-	if len(ids) != n || len(labels) != n {
-		return nil, fmt.Errorf("retrieval: pq: %d ids, %d labels for %d features", len(ids), len(labels), n)
-	}
-	dim := feats[0].Len()
-	for i, f := range feats {
-		if f.Len() != dim {
-			return nil, fmt.Errorf("retrieval: pq: feature %d has dim %d, want %d", i, f.Len(), dim)
-		}
 	}
 	if cfg.KMeansIters <= 0 {
 		cfg.KMeansIters = 25
 	}
-	if err := cfg.validate(n, dim); err != nil {
+	if err := cfg.validate(n, g.dim); err != nil {
 		return nil, err
 	}
 
 	ix := &PQIndex{
-		dim:    dim,
+		g:      g,
 		nsub:   cfg.Subspaces,
 		k:      cfg.Centroids,
 		rerank: cfg.RerankDepth,
-		cbOff:  pqCodebookOffsets(dim, cfg.Subspaces, cfg.Centroids),
+		cbOff:  pqCodebookOffsets(g.dim, cfg.Subspaces, cfg.Centroids),
 		codes:  make([]byte, n*cfg.Subspaces),
-		feats:  make([]float64, n*dim),
-		ids:    append([]string(nil), ids...),
-		labels: append([]int(nil), labels...),
 	}
 	ix.codebooks = make([]float64, ix.cbOff[ix.nsub])
-	for i, f := range feats {
-		copy(ix.feats[i*dim:(i+1)*dim], f.Data())
-	}
 
 	// Train the nsub codebooks concurrently. Each subspace draws from its
 	// own seeded generator, so the fit is independent of the worker count
@@ -239,12 +232,11 @@ func NewPQIndex(ids []string, labels []int, feats []*tensor.Tensor, cfg PQConfig
 // trainSubspace fits codebook s and writes the codes of its coordinate
 // range. Only state owned by subspace s is touched.
 func (ix *PQIndex) trainSubspace(s int, cfg PQConfig) error {
-	lo, hi := pqSubBounds(ix.dim, ix.nsub, s)
+	lo, hi := pqSubBounds(ix.g.dim, ix.nsub, s)
 	w := hi - lo
-	n := len(ix.ids)
-	sub := make([]*tensor.Tensor, n)
-	for i := 0; i < n; i++ {
-		sub[i] = tensor.From(ix.feats[i*ix.dim+lo:i*ix.dim+hi], w)
+	sub := make([]*tensor.Tensor, ix.g.size())
+	for i := range sub {
+		sub[i] = tensor.From(ix.g.rows[i][lo:hi], w)
 	}
 	// Decorrelate per-subspace streams with a large odd stride so nearby
 	// subspaces never share a seed.
@@ -268,10 +260,10 @@ func (ix *PQIndex) trainSubspace(s int, cfg PQConfig) error {
 func (ix *PQIndex) SetTelemetry(r *telemetry.Registry) { ix.tel = resolvePQTel(r) }
 
 // Size returns the number of indexed entries.
-func (ix *PQIndex) Size() int { return len(ix.ids) }
+func (ix *PQIndex) Size() int { return ix.g.size() }
 
 // Dim returns the feature dimension.
-func (ix *PQIndex) Dim() int { return ix.dim }
+func (ix *PQIndex) Dim() int { return ix.g.dim }
 
 // RerankDepth returns the index's fixed exact re-rank depth.
 func (ix *PQIndex) RerankDepth() int { return ix.rerank }
@@ -286,7 +278,7 @@ func (ix *PQIndex) Close() error {
 	c := ix.closer
 	ix.closer = nil
 	// Drop the aliases into the mapping before releasing it.
-	ix.codebooks, ix.codes, ix.feats = nil, nil, nil
+	ix.codebooks, ix.codes, ix.g.rows = nil, nil, nil
 	return c()
 }
 
@@ -298,7 +290,7 @@ func (ix *PQIndex) effectiveRerank(m int) int {
 	if r < m {
 		r = m
 	}
-	if n := len(ix.ids); r > n {
+	if n := ix.g.size(); r > n {
 		r = n
 	}
 	return r
@@ -311,25 +303,11 @@ func (ix *PQIndex) Nearest(feat []float64, m int) []Result {
 	return ix.nearest(feat, m, 1)
 }
 
-// l2sq is the flat-slice squared L2 distance. The loop mirrors
-// tensor.SquaredDistance element for element, so re-ranked distances are
-// bitwise-identical to the exact engine's tensor-based scan.
-func l2sq(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return s
-}
-
 // nearest is the PQ query hot path: adcSelect into the pooled scratch,
 // then copy the top-m into a fresh caller-owned slice.
 func (ix *PQIndex) nearest(feat []float64, m, workers int) []Result {
-	if len(feat) != ix.dim {
-		panic(fmt.Sprintf("retrieval: pq: query dim %d, index dim %d", len(feat), ix.dim))
-	}
-	n := len(ix.ids)
+	ix.g.checkQuery(feat)
+	n := ix.g.size()
 	if m > n {
 		m = n
 	}
@@ -364,7 +342,7 @@ func (ix *PQIndex) nearest(feat []float64, m, workers int) []Result {
 //
 //duolint:hot
 func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Result {
-	n := len(ix.ids)
+	n := ix.g.size()
 
 	// ADC lookup table: lut[s*k+j] = ‖query_s − codebook_s[j]‖². Each cell
 	// is independent; the table is dim*k float ops, negligible next to the
@@ -374,7 +352,7 @@ func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Re
 	}
 	lut := sc.lut[:ix.nsub*ix.k]
 	for s := 0; s < ix.nsub; s++ {
-		lo, hi := pqSubBounds(ix.dim, ix.nsub, s)
+		lo, hi := pqSubBounds(ix.g.dim, ix.nsub, s)
 		q := feat[lo:hi]
 		w := hi - lo
 		cb := ix.codebooks[ix.cbOff[s]:ix.cbOff[s+1]]
@@ -391,7 +369,7 @@ func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Re
 	R := ix.effectiveRerank(m)
 	sc.lut, sc.codes, sc.nsub, sc.k = lut, ix.codes, ix.nsub, ix.k
 	sw := ix.tel.scanNs.Start()
-	cands := scanTopMIdx(n, R, parallel.CapWorkers(workers, n, pqScanMinShard), sc.adcDist(), ix.ids, &sc.idx)
+	cands := scanTopMIdx(n, R, parallel.CapWorkers(workers, n, pqScanMinShard), sc.adcDist(), ix.g.ids, &sc.idx)
 	sw.Stop()
 	ix.tel.codes.Add(int64(n))
 
@@ -401,11 +379,10 @@ func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Re
 	sw = ix.tel.rerankNs.Start()
 	res := sc.res[:0]
 	for _, cd := range cands {
-		row := ix.feats[cd.row*ix.dim : (cd.row+1)*ix.dim]
 		res = append(res, Result{
-			ID:    ix.ids[cd.row],
-			Label: ix.labels[cd.row],
-			Dist:  math.Sqrt(l2sq(feat, row)),
+			ID:    ix.g.ids[cd.row],
+			Label: ix.g.labels[cd.row],
+			Dist:  math.Sqrt(l2sq(feat, ix.g.rows[cd.row])),
 		})
 	}
 	slices.SortFunc(res, cmpResult)
@@ -435,15 +412,7 @@ var _ TracedRetriever = (*PQEngine)(nil)
 // NewPQEngine extracts gallery features with m and trains a PQ index over
 // them.
 func NewPQEngine(m models.Model, gallery []*video.Video, cfg PQConfig) (*PQEngine, error) {
-	ids := make([]string, len(gallery))
-	labels := make([]int, len(gallery))
-	feats := make([]*tensor.Tensor, len(gallery))
-	for i, v := range gallery {
-		ids[i] = v.ID
-		labels[i] = v.Label
-		feats[i] = models.Embed(m, v)
-	}
-	ix, err := NewPQIndex(ids, labels, feats, cfg)
+	ix, err := trainPQ(embedGallery(m, gallery), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -455,8 +424,8 @@ func NewPQEngine(m models.Model, gallery []*video.Video, cfg PQConfig) (*PQEngin
 // features, or retrieval distances are meaningless; the dimension check
 // catches the obvious mismatch.
 func NewPQEngineFromIndex(m models.Model, ix *PQIndex) (*PQEngine, error) {
-	if m.FeatureDim() != ix.dim {
-		return nil, fmt.Errorf("retrieval: pq: model dim %d does not match index dim %d", m.FeatureDim(), ix.dim)
+	if m.FeatureDim() != ix.g.dim {
+		return nil, fmt.Errorf("retrieval: pq: model dim %d does not match index dim %d", m.FeatureDim(), ix.g.dim)
 	}
 	return &PQEngine{model: m, idx: ix}, nil
 }

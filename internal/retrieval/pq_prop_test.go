@@ -16,7 +16,7 @@ import (
 func pqADC(ix *PQIndex, feat []float64, i int) float64 {
 	s := 0.0
 	for sub := 0; sub < ix.nsub; sub++ {
-		lo, hi := pqSubBounds(ix.dim, ix.nsub, sub)
+		lo, hi := pqSubBounds(ix.g.dim, ix.nsub, sub)
 		w := hi - lo
 		j := int(ix.codes[i*ix.nsub+sub])
 		cb := ix.codebooks[ix.cbOff[sub]+j*w : ix.cbOff[sub]+(j+1)*w]
@@ -28,9 +28,9 @@ func pqADC(ix *PQIndex, feat []float64, i int) float64 {
 // pqReconstruct returns row i's quantized reconstruction (its codebook
 // entries concatenated across subspaces).
 func pqReconstruct(ix *PQIndex, i int) []float64 {
-	rec := make([]float64, ix.dim)
+	rec := make([]float64, ix.g.dim)
 	for sub := 0; sub < ix.nsub; sub++ {
-		lo, hi := pqSubBounds(ix.dim, ix.nsub, sub)
+		lo, hi := pqSubBounds(ix.g.dim, ix.nsub, sub)
 		w := hi - lo
 		j := int(ix.codes[i*ix.nsub+sub])
 		copy(rec[lo:hi], ix.codebooks[ix.cbOff[sub]+j*w:ix.cbOff[sub]+(j+1)*w])
@@ -50,7 +50,7 @@ func pqReconstruct(ix *PQIndex, i int) []float64 {
 func pqCheckADCBound(t *testing.T, ix *PQIndex, feat []float64) {
 	t.Helper()
 	for i := 0; i < ix.Size(); i++ {
-		row := ix.feats[i*ix.dim : (i+1)*ix.dim]
+		row := ix.g.rows[i]
 		rec := pqReconstruct(ix, i)
 		adc := pqADC(ix, feat, i)
 
@@ -106,7 +106,7 @@ func TestPQADCExactWhenCodebookCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range feats {
-		row := ix.feats[i*ix.dim : (i+1)*ix.dim]
+		row := ix.g.rows[i]
 		rec := pqReconstruct(ix, i)
 		if r := math.Sqrt(l2sq(row, rec)); r > 1e-9 {
 			t.Fatalf("row %d: residual %g with k=n, want ≈ 0", i, r)
@@ -116,7 +116,7 @@ func TestPQADCExactWhenCodebookCovers(t *testing.T) {
 	for _, q := range qs {
 		feat := q.Data()
 		for i := range feats {
-			row := ix.feats[i*ix.dim : (i+1)*ix.dim]
+			row := ix.g.rows[i]
 			d2 := l2sq(feat, row)
 			adc := pqADC(ix, feat, i)
 			if tol := 1e-9 * (1 + d2); math.Abs(adc-d2) > tol {

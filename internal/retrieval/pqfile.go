@@ -128,34 +128,37 @@ func floatSection(sec []byte) []float64 {
 // payload is assembled in memory to checksum it; index files are dominated
 // by the feature matrix, which the caller already holds.
 func (ix *PQIndex) WriteIndex(w io.Writer) error {
-	n := len(ix.ids)
+	g := &ix.g
+	n := g.size()
 	idBlobLen := 0
-	for _, id := range ix.ids {
+	for _, id := range g.ids {
 		idBlobLen += len(id)
 	}
-	l := pqLayoutOf(n, ix.dim, ix.nsub, ix.k, idBlobLen)
+	l := pqLayoutOf(n, g.dim, ix.nsub, ix.k, idBlobLen)
 	payload := make([]byte, l.end)
 
 	putFloatsLE(payload[l.cbOff:], ix.codebooks)
 	copy(payload[l.codesOff:], ix.codes)
-	for i, lab := range ix.labels {
+	for i, lab := range g.labels {
 		binary.LittleEndian.PutUint32(payload[l.labelsOff+4*i:], uint32(int32(lab)))
 	}
 	off := 0
-	for i, id := range ix.ids {
+	for i, id := range g.ids {
 		binary.LittleEndian.PutUint32(payload[l.idOffOff+4*i:], uint32(off))
 		copy(payload[l.idBlobOff+off:], id)
 		off += len(id)
 	}
 	binary.LittleEndian.PutUint32(payload[l.idOffOff+4*n:], uint32(off))
-	putFloatsLE(payload[l.featsOff:], ix.feats)
+	for i, row := range g.rows {
+		putFloatsLE(payload[l.featsOff+i*g.dim*8:], row)
+	}
 
 	var hdr [pqHeaderSize]byte
 	copy(hdr[0:8], pqMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], pqVersion)
 	binary.LittleEndian.PutUint32(hdr[12:], 0)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(ix.dim))
+	binary.LittleEndian.PutUint32(hdr[24:], uint32(g.dim))
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(ix.nsub))
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(ix.k))
 	binary.LittleEndian.PutUint32(hdr[36:], uint32(ix.rerank))
@@ -233,17 +236,18 @@ func decodePQIndex(data []byte, closer func() error) (*PQIndex, error) {
 		labels[i] = int(int32(binary.LittleEndian.Uint32(payload[l.labelsOff+4*i:])))
 	}
 
+	g, err := newGallery(ids, labels, dim, floatSection(payload[l.featsOff:l.featsOff+n*dim*8]))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrIndexCorrupt, err)
+	}
 	return &PQIndex{
-		dim:       dim,
+		g:         g,
 		nsub:      nsub,
 		k:         k,
 		rerank:    rerank,
 		cbOff:     pqCodebookOffsets(dim, nsub, k),
 		codebooks: floatSection(payload[l.cbOff : l.cbOff+k*dim*8]),
 		codes:     payload[l.codesOff : l.codesOff+n*nsub],
-		feats:     floatSection(payload[l.featsOff : l.featsOff+n*dim*8]),
-		ids:       ids,
-		labels:    labels,
 		closer:    closer,
 	}, nil
 }

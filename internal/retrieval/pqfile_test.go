@@ -168,12 +168,12 @@ func TestPQIndexRejectsDamage(t *testing.T) {
 func TestPQIndexRejectsBrokenIDTable(t *testing.T) {
 	ix, _ := pqTestIndex(t)
 	data := pqEncode(t, ix)
-	n := len(ix.ids)
+	n := len(ix.g.ids)
 	idBlobLen := 0
-	for _, id := range ix.ids {
+	for _, id := range ix.g.ids {
 		idBlobLen += len(id)
 	}
-	l := pqLayoutOf(n, ix.dim, ix.nsub, ix.k, idBlobLen)
+	l := pqLayoutOf(n, ix.g.dim, ix.nsub, ix.k, idBlobLen)
 	// Break the prefix-sum invariant of entry 1, then re-checksum.
 	binary.LittleEndian.PutUint32(data[pqHeaderSize+l.idOffOff+4:], uint32(idBlobLen+1))
 	binary.LittleEndian.PutUint32(data[48:], crc32.ChecksumIEEE(data[pqHeaderSize:]))

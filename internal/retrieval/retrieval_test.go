@@ -1,8 +1,12 @@
 package retrieval
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"duo/internal/dataset"
 	"duo/internal/models"
@@ -251,6 +255,66 @@ func TestNodeServerRejectsNegativeM(t *testing.T) {
 	}
 }
 
+// TestNodeServerSurvivesMalformedRequests: a frame whose feature length is
+// not the index dimension (or whose m is negative) is answered with a typed
+// ErrBadRequest instead of reaching the index — where it would panic in a
+// handler goroutine and take the node down. The same connection then serves
+// a good request, the retry layer does not re-send the frame, and the
+// breaker does not count it against the node.
+func TestNodeServerSurvivesMalformedRequests(t *testing.T) {
+	_, c, m := testSystem(t)
+	dim := m.FeatureDim()
+	shard := NewShard(m, c.Train[:6])
+	pq, err := NewPQEngine(m, c.Train[:6], PQConfig{Subspaces: 2, Centroids: 2, Seed: 1, RerankDepth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, index := range map[string]GalleryIndex{"shard": shard, "pq": pq.Index()} {
+		srv, err := ServeNode("127.0.0.1:0", index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tcp, err := DialNode(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tcp.Close()
+		retry := NewRetryTransport(tcp, RetryConfig{MaxAttempts: 3, Sleep: func(time.Duration) {}})
+		node := NewBreakerTransport(retry, BreakerConfig{FailureThreshold: 1})
+
+		good := models.Embed(m, c.Test[0]).Data()
+		want := index.Nearest(good, 3)
+		bad := []struct {
+			feat []float64
+			m    int
+		}{
+			{make([]float64, dim-1), 3},
+			{make([]float64, dim+1), 3},
+			{nil, 3},
+			{good, -1},
+		}
+		for _, b := range bad {
+			if _, err := node.Nearest(b.feat, b.m); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%s: feat len %d, m %d: err = %v, want ErrBadRequest", name, len(b.feat), b.m, err)
+			}
+			got, err := node.Nearest(good, 3)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: good request after a bad one: %v, err %v; want %v", name, got, err, want)
+			}
+		}
+		if n := tcp.Reconnects(); n != 0 {
+			t.Errorf("%s: %d reconnects: a bad request must not cost the connection", name, n)
+		}
+		if n := retry.Retries(); n != 0 {
+			t.Errorf("%s: bad requests were retried %d times", name, n)
+		}
+		if st := node.State(); st != BreakerClosed {
+			t.Errorf("%s: breaker %v after bad requests, want closed", name, st)
+		}
+	}
+}
+
 func TestEvaluateQualityBundle(t *testing.T) {
 	eng, c, _ := testSystem(t)
 	q := Evaluate(eng, c.Test, 6)
@@ -321,5 +385,15 @@ func TestClusterSurvivesNodeCrash(t *testing.T) {
 		if !inA[r.ID] {
 			t.Errorf("result %s not from the surviving shard", r.ID)
 		}
+	}
+}
+
+func TestRecallAtMEdgeCases(t *testing.T) {
+	eng, c, _ := testSystem(t)
+	if got := RecallAtM(eng, eng, nil, 5); got != 0 {
+		t.Errorf("recall on no queries = %g", got)
+	}
+	if got := RecallAtM(eng, eng, c.Test, 5); math.Abs(got-1) > 1e-12 {
+		t.Errorf("self recall = %g, want 1", got)
 	}
 }

@@ -53,7 +53,8 @@ func (c *RetryConfig) applyDefaults() {
 //
 // A breaker fast-fail (ErrBreakerOpen) is not retried: backing off against
 // a breaker that will stay open for its whole cooldown only adds latency.
-// A load shed (ErrOverloaded) IS retried: the node is alive and refusing
+// Neither is a request the node refused as malformed (ErrBadRequest): the
+// same frame cannot succeed on a second try. A load shed (ErrOverloaded) IS retried: the node is alive and refusing
 // work to protect itself, and the backoff is exactly the pressure-release
 // valve that lets the spike pass before the next attempt.
 type RetryTransport struct {
@@ -143,7 +144,7 @@ func (t *RetryTransport) do(call func() ([]Result, error)) ([]Result, error) {
 		if errors.Is(err, ErrOverloaded) {
 			t.telOverloads.Inc()
 		}
-		if errors.Is(err, ErrBreakerOpen) {
+		if errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrBadRequest) {
 			break
 		}
 	}

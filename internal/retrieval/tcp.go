@@ -26,6 +26,14 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
+// ErrBadRequest is the typed error for a request the node refused as
+// malformed: a negative m, or a query feature whose length is not the
+// index dimension. The node answered, so it is alive and the connection
+// stays in sync — BreakerTransport does not count it — and re-sending the
+// same frame cannot succeed, so RetryTransport does not retry it. Like
+// ErrOverloaded it crosses the wire as a flag on the response frame.
+var ErrBadRequest = errors.New("retrieval: bad request")
+
 // nearestRequest and nearestResponse form the wire protocol between the
 // coordinator and a TCP data node: length-delimited gob messages over a
 // persistent connection.
@@ -60,13 +68,15 @@ type nearestRequest struct {
 // nearestResponse's Overloaded flag is how ErrOverloaded crosses the wire:
 // a typed sentinel can't ride a string field, so the client re-wraps the
 // flag into ErrOverloaded and errors.Is works across the process boundary.
-// An old client ignores the flag and still sees the Err text.
+// BadRequest does the same for ErrBadRequest. An old client ignores the
+// flags and still sees the Err text.
 type nearestResponse struct {
 	Results    []Result
 	Err        string
 	ID         uint64
 	Overloaded bool
 	Stats      *statsResponse
+	BadRequest bool
 }
 
 // NodeServerConfig parameterizes a NodeServer's deadlines and admission
@@ -277,7 +287,9 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 }
 
 // handle serves one admitted request (span + shard scan); it never touches
-// the connection.
+// the connection. This is where untrusted frames meet the index, so the
+// query shape is checked here: GalleryIndex.Nearest panics on a feature of
+// the wrong dimension, and a handler goroutine has no recover.
 func (s *NodeServer) handle(req nearestRequest) nearestResponse {
 	var tc trace.Context
 	if req.TC != nil {
@@ -286,9 +298,12 @@ func (s *NodeServer) handle(req nearestRequest) nearestResponse {
 	sp := s.cfg.Trace.StartCtx(tc, "node.serve")
 	sp.SetInt("m", int64(req.M))
 	resp := nearestResponse{ID: req.ID}
-	if req.M < 0 {
-		resp.Err = fmt.Sprintf("negative m %d", req.M)
-	} else {
+	switch dim := s.shard.Dim(); {
+	case req.M < 0:
+		resp.Err, resp.BadRequest = fmt.Sprintf("negative m %d", req.M), true
+	case len(req.Feat) == 0 || (dim > 0 && len(req.Feat) != dim):
+		resp.Err, resp.BadRequest = fmt.Sprintf("query dim %d, index dim %d", len(req.Feat), dim), true
+	default:
 		resp.Results = s.shard.Nearest(req.Feat, req.M)
 	}
 	sp.SetInt("results", int64(len(resp.Results)))
@@ -660,6 +675,9 @@ func (t *TCPTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([
 		// A shed arrives as a complete, well-framed response: the stream is
 		// in sync and the connection stays up — only this request was refused.
 		return nil, fmt.Errorf("retrieval: node %s: %w", t.addr, ErrOverloaded)
+	}
+	if resp.BadRequest {
+		return nil, fmt.Errorf("retrieval: node %s: %w: %s", t.addr, ErrBadRequest, resp.Err)
 	}
 	if resp.Err != "" {
 		// A node-side application error likewise keeps the connection.

@@ -3,27 +3,25 @@ package retrieval
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"duo/internal/parallel"
-	"duo/internal/tensor"
 )
 
-// This file is the sharded top-m distance scan shared by Engine, IVFEngine,
-// and Shard. The gallery is split into contiguous shards (parallel.Bounds),
+// This file is the sharded top-m selection kernel behind every index tier:
+// the exact scan of a gallery (gallery.topM) and the PQ code scan
+// (PQIndex.adcSelect) both run scanTopMIdx with their own row-scoring
+// closure. The rows are split into contiguous shards (parallel.Bounds),
 // each shard keeps its own bounded top-m heap, and the per-shard winners
-// are merged under the global (Dist, ID) order. Every per-item distance is
+// are merged under the global (dist, ID) order. Every per-row distance is
 // computed independently and the merge order is a total order over unique
-// IDs, so the output is bitwise-identical to the sequential sort-everything
-// path (`nearest`) at every worker count — the determinism contract of
-// DESIGN.md §9.
+// IDs, so the output is bitwise-identical to a sequential sort-everything
+// scan at every worker count — the determinism contract of DESIGN.md §9.
 //
-// The scan kernels are //duolint:hot: nothing on the per-row path may
-// allocate. The single-worker path is fully sequential (no parallel.ForN
-// closure, whose escape to goroutines costs one heap allocation per scan),
+// The kernel is //duolint:hot: nothing on the per-row path may allocate.
+// The single-worker path is fully sequential (no parallel.ForN closure,
+// whose escape to goroutines costs one heap allocation per scan) and
 // sorting uses slices.SortFunc (allocation-free, unlike sort.Slice which
-// boxes both the slice and the comparator), and callers that own a result
-// buffer use scanTopMInto to amortize the output slice.
+// boxes both the slice and the comparator).
 
 // resultLess is the service-wide result order: ascending distance with ID
 // tie-breaking. It is a strict total order whenever gallery IDs are unique,
@@ -49,55 +47,42 @@ func cmpResult(a, b Result) int {
 	return strings.Compare(a.ID, b.ID)
 }
 
-// scanScratch is the reusable per-query state of a sharded scan: one
-// bounded heap per shard plus a merge buffer. Engines keep these in a
-// sync.Pool so a steady-state query allocates only the caller-owned result
-// slice, never an O(gallery) temporary.
-type scanScratch struct {
-	heaps  [][]Result
-	merged []Result
+// scored is a candidate row with its distance — exact for a gallery scan,
+// approximate for the PQ code scan that selects before exact re-ranking.
+// Ordering is (dist, ID of the row), the same strict total order
+// resultLess imposes on Results, so the selected set is identical at every
+// worker count.
+type scored struct {
+	row  int
+	dist float64
 }
 
-// shards returns w heap slots, each empty with capacity ≥ m, reusing the
-// scratch's backing arrays.
-func (sc *scanScratch) shards(w, m int) [][]Result {
-	if cap(sc.heaps) < w {
-		sc.heaps = make([][]Result, w)
-	}
-	sc.heaps = sc.heaps[:w]
-	for s := range sc.heaps {
-		if cap(sc.heaps[s]) < m {
-			sc.heaps[s] = make([]Result, 0, m)
-		} else {
-			sc.heaps[s] = sc.heaps[s][:0]
+// rowOrder is that order for rows of the gallery whose IDs it holds.
+type rowOrder []string
+
+func (ids rowOrder) cmp(a, b scored) int {
+	if a.dist != b.dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+		if a.dist < b.dist {
+			return -1
 		}
+		return 1
 	}
-	return sc.heaps
+	return strings.Compare(ids[a.row], ids[b.row])
 }
 
-// getScratch fetches a scratch from the pool (a zero-value pool works: a
-// nil Get is replaced with a fresh scratch).
-func getScratch(pool *sync.Pool) *scanScratch {
-	sc, _ := pool.Get().(*scanScratch)
-	if sc == nil {
-		sc = new(scanScratch)
-	}
-	return sc
-}
+func (ids rowOrder) less(a, b scored) bool { return ids.cmp(a, b) < 0 }
 
 // pushBounded inserts r into the bounded max-heap h (worst kept entry at
-// the root), retaining the m smallest entries under less. It is the shared
-// selection kernel of the sharded scans: the exact/IVF scans instantiate it
-// with Result+resultLess, the PQ code scan with row-index candidates.
+// the root), retaining the m smallest entries under the order.
 //
 //duolint:hot
-func pushBounded[T any](h []T, r T, m int, less func(a, b T) bool) []T {
+func pushBounded(h []scored, r scored, m int, ids rowOrder) []scored {
 	if len(h) < m {
 		h = append(h, r)
 		i := len(h) - 1
 		for i > 0 {
 			p := (i - 1) / 2
-			if !less(h[p], h[i]) {
+			if !ids.less(h[p], h[i]) {
 				break
 			}
 			h[p], h[i] = h[i], h[p]
@@ -105,7 +90,7 @@ func pushBounded[T any](h []T, r T, m int, less func(a, b T) bool) []T {
 		}
 		return h
 	}
-	if !less(r, h[0]) {
+	if !ids.less(r, h[0]) {
 		return h
 	}
 	h[0] = r
@@ -113,10 +98,10 @@ func pushBounded[T any](h []T, r T, m int, less func(a, b T) bool) []T {
 	for {
 		l, rr := 2*i+1, 2*i+2
 		big := i
-		if l < len(h) && less(h[big], h[l]) {
+		if l < len(h) && ids.less(h[big], h[l]) {
 			big = l
 		}
-		if rr < len(h) && less(h[big], h[rr]) {
+		if rr < len(h) && ids.less(h[big], h[rr]) {
 			big = rr
 		}
 		if big == i {
@@ -127,97 +112,17 @@ func pushBounded[T any](h []T, r T, m int, less func(a, b T) bool) []T {
 	}
 }
 
-// pushTopM inserts r into the bounded max-heap h, retaining the m smallest
-// entries under resultLess.
-//
-//duolint:hot
-func pushTopM(h []Result, r Result, m int) []Result {
-	return pushBounded(h, r, m, resultLess)
-}
-
-// scanTopM scores feat against the index and returns the global top-m in
-// resultLess order, scanning with w shards. The result equals
-// nearest(feat, ids, labels, feats, m) bitwise for any w ≥ 1 (unique IDs
-// assumed, as everywhere in the service). sc may be nil; passing a pooled
-// scratch makes the scan allocation-free apart from the returned slice.
-func scanTopM(feat *tensor.Tensor, ids []string, labels []int, feats []*tensor.Tensor, m, w int, sc *scanScratch) []Result {
-	return scanTopMInto(nil, feat, ids, labels, feats, m, w, sc)
-}
-
-// scanTopMInto is scanTopM writing into dst (grown only when its capacity
-// is short): with a pooled scratch and a warm dst, a steady-state
-// single-worker scan performs zero heap allocations.
-//
-//duolint:hot
-func scanTopMInto(dst []Result, feat *tensor.Tensor, ids []string, labels []int, feats []*tensor.Tensor, m, w int, sc *scanScratch) []Result {
-	n := len(ids)
-	if m > n {
-		m = n
-	}
-	if m < 0 {
-		m = 0
-	}
-	if cap(dst) < m || dst == nil {
-		dst = make([]Result, m) // non-nil even for m == 0, like the scan always returned
-	}
-	dst = dst[:m]
-	if m == 0 {
-		return dst
-	}
-	if sc == nil {
-		sc = new(scanScratch)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	heaps := sc.shards(w, m)
-	if w == 1 {
-		// Sequential fast path: the parallel.ForN body escapes to worker
-		// goroutines and therefore heap-allocates its closure; a plain loop
-		// does not.
-		h := heaps[0]
-		for i := 0; i < n; i++ {
-			h = pushTopM(h, Result{ID: ids[i], Label: labels[i], Dist: feat.Distance(feats[i])}, m)
-		}
-		heaps[0] = h
-	} else {
-		parallel.ForN(w, n, func(shard, start, end int) {
-			h := heaps[shard]
-			for i := start; i < end; i++ {
-				h = pushTopM(h, Result{ID: ids[i], Label: labels[i], Dist: feat.Distance(feats[i])}, m)
-			}
-			heaps[shard] = h
-		})
-	}
-	merged := sc.merged[:0]
-	for _, h := range heaps {
-		merged = append(merged, h...)
-	}
-	slices.SortFunc(merged, cmpResult)
-	sc.merged = merged
-	copy(dst, merged[:m])
-	return dst
-}
-
-// scored is a candidate row with its (approximate) distance — the unit the
-// PQ code scan selects before exact re-ranking. Ordering is (dist, ID of
-// the row), the same strict total order resultLess imposes on Results, so
-// the selected candidate set is identical at every worker count.
-type scored struct {
-	row  int
-	dist float64
-}
-
-// idxScratch is the reusable workspace of a sharded row-index scan (the
-// scored analogue of scanScratch).
+// idxScratch is the reusable workspace of a sharded scan: one bounded heap
+// per shard plus a merge buffer. Owners keep it (inside their per-query
+// scratch) in a sync.Pool so a steady-state query never allocates an
+// O(gallery) temporary.
 type idxScratch struct {
 	heaps  [][]scored
 	merged []scored
 }
 
+// shards returns w heap slots, each empty with capacity ≥ m, reusing the
+// scratch's backing arrays.
 func (sc *idxScratch) shards(w, m int) [][]scored {
 	if cap(sc.heaps) < w {
 		sc.heaps = make([][]scored, w)
@@ -234,22 +139,20 @@ func (sc *idxScratch) shards(w, m int) [][]scored {
 }
 
 // scanTopMIdx returns the m rows of [0, n) with the smallest dist(i) in
-// (dist, ids[row]) order, scanning with w contiguous shards. Like scanTopM
-// it is bitwise-deterministic for any w ≥ 1 given unique ids: every dist(i)
-// is computed independently and the merge order is a strict total order.
+// (dist, ids[row]) order, scanning with w contiguous shards (m and w are
+// clamped to [0, n] and [1, n]). It is bitwise-deterministic for any w ≥ 1
+// given unique ids: every dist(i) is computed independently and the merge
+// order is a strict total order.
 // The returned slice aliases sc.merged and is valid until the next scan
 // with the same scratch.
 //
 // dist escapes into worker goroutines on the multi-shard path, so a
 // closure passed here may be heap-allocated by the caller; allocation-free
-// callers keep a reusable closure alongside their scratch (see pqScratch).
-// Each branch below builds its own comparator literal on purpose: the
-// single-worker one never escapes and stays on the stack, while a shared
-// variable reused by the parallel branch would be forced to the heap on
-// every call.
+// callers keep a reusable closure alongside their scratch (see
+// galleryScratch, pqScratch).
 //
 //duolint:hot
-func scanTopMIdx(n, m, w int, dist func(i int) float64, ids []string, sc *idxScratch) []scored {
+func scanTopMIdx(n, m, w int, dist func(i int) float64, ids rowOrder, sc *idxScratch) []scored {
 	if m > n {
 		m = n
 	}
@@ -264,28 +167,16 @@ func scanTopMIdx(n, m, w int, dist func(i int) float64, ids []string, sc *idxScr
 	}
 	heaps := sc.shards(w, m)
 	if w == 1 {
-		less := func(a, b scored) bool {
-			if a.dist != b.dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
-				return a.dist < b.dist
-			}
-			return ids[a.row] < ids[b.row]
-		}
 		h := heaps[0]
 		for i := 0; i < n; i++ {
-			h = pushBounded(h, scored{row: i, dist: dist(i)}, m, less)
+			h = pushBounded(h, scored{row: i, dist: dist(i)}, m, ids)
 		}
 		heaps[0] = h
 	} else {
-		less := func(a, b scored) bool {
-			if a.dist != b.dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
-				return a.dist < b.dist
-			}
-			return ids[a.row] < ids[b.row]
-		}
 		parallel.ForN(w, n, func(shard, start, end int) {
 			h := heaps[shard]
 			for i := start; i < end; i++ {
-				h = pushBounded(h, scored{row: i, dist: dist(i)}, m, less)
+				h = pushBounded(h, scored{row: i, dist: dist(i)}, m, ids)
 			}
 			heaps[shard] = h
 		})
@@ -294,15 +185,7 @@ func scanTopMIdx(n, m, w int, dist func(i int) float64, ids []string, sc *idxScr
 	for _, h := range heaps {
 		merged = append(merged, h...)
 	}
-	slices.SortFunc(merged, func(a, b scored) int {
-		if a.dist != b.dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
-			if a.dist < b.dist {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(ids[a.row], ids[b.row])
-	})
+	slices.SortFunc(merged, ids.cmp)
 	sc.merged = merged
 	return merged[:m]
 }

@@ -40,14 +40,14 @@ func FuzzScanTopM(f *testing.F) {
 
 		want := nearest(query, ids, labels, feats, m)
 		for _, w := range []int{1, 2, 3, 7} {
-			got := scanTopM(query, ids, labels, feats, m, w, nil)
+			got := scanRows(query, ids, labels, feats, m, w, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d n=%d m=%d workers=%d:\n got %v\nwant %v", seed, n, m, w, got, want)
 			}
 			// The pooled-scratch path must agree with the fresh-scratch path.
-			sc := new(scanScratch)
-			again := scanTopM(query, ids, labels, feats, m, w, sc)
-			reused := scanTopM(query, ids, labels, feats, m, w, sc)
+			sc := new(galleryScratch)
+			again := scanRows(query, ids, labels, feats, m, w, sc)
+			reused := scanRows(query, ids, labels, feats, m, w, sc)
 			if !reflect.DeepEqual(again, want) || !reflect.DeepEqual(reused, want) {
 				t.Fatalf("seed=%d n=%d m=%d workers=%d: scratch reuse diverged", seed, n, m, w)
 			}
