@@ -15,6 +15,7 @@ package admm
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Config tunes the solver.
@@ -63,6 +64,7 @@ func MinimizeCardinality(c []float64, k int, cfg Config) (*Result, error) {
 	}
 
 	x := make([]float64, d)
+	r := make([]float64, d)  // x-update right-hand side
 	y1 := make([]float64, d) // box copy
 	y2 := make([]float64, d) // sphere copy
 	z1 := make([]float64, d) // dual for x=y1
@@ -81,10 +83,18 @@ func MinimizeCardinality(c []float64, k int, cfg Config) (*Result, error) {
 	for it := 0; it < cfg.MaxIter; it++ {
 		res.Iterations = it + 1
 
-		// y1-update: projection onto the box [0,1]^d.
+		// y1-update: projection onto the box [0,1]^d. The branches are
+		// math.Max(0, math.Min(1, v)): −0 and everything below map to +0,
+		// NaN stays NaN.
 		for i := range y1 {
 			v := x[i] + z1[i]/rho
-			y1[i] = math.Max(0, math.Min(1, v))
+			switch {
+			case v >= 1:
+				v = 1
+			case v <= 0:
+				v = 0
+			}
+			y1[i] = v
 		}
 
 		// y2-update: projection onto the sphere ‖y − ½‖ = √d/2.
@@ -115,7 +125,6 @@ func MinimizeCardinality(c []float64, k int, cfg Config) (*Result, error) {
 		a := 2 * rho
 		b := rhoC
 		sumR := 0.0
-		r := make([]float64, d)
 		for i := range r {
 			r[i] = rho*(y1[i]+y2[i]) - c[i] - z1[i] - z2[i] - z3 + b*float64(k)
 			sumR += r[i]
@@ -164,27 +173,32 @@ func MinimizeCardinality(c []float64, k int, cfg Config) (*Result, error) {
 }
 
 // topKMask returns a boolean mask with true at the indices of the k largest
-// values (ties broken toward lower index for determinism).
+// values, ties broken toward the lower index: everything above the k-th
+// largest value, then the earliest indices holding exactly that value.
 func topKMask(x []float64, k int) []bool {
 	mask := make([]bool, len(x))
+	k = min(k, len(x))
 	if k <= 0 {
 		return mask
 	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort is fine at the scales used here; keep it
-	// deterministic under ties.
-	for s := 0; s < k; s++ {
-		best := s
-		for j := s + 1; j < len(idx); j++ {
-			if x[idx[j]] > x[idx[best]] {
-				best = j
-			}
+	sorted := slices.Clone(x)
+	slices.Sort(sorted)
+	kth := sorted[len(x)-k]
+	need := k
+	for i, v := range x {
+		if v > kth {
+			mask[i] = true
+			need--
 		}
-		idx[s], idx[best] = idx[best], idx[s]
-		mask[idx[s]] = true
+	}
+	for i, v := range x {
+		if need == 0 {
+			break
+		}
+		if !mask[i] && !(v < kth) {
+			mask[i] = true
+			need--
+		}
 	}
 	return mask
 }

@@ -1,6 +1,7 @@
 package admm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -15,14 +16,19 @@ func benchCosts(n int) []float64 {
 }
 
 // BenchmarkMinimizeCardinality measures one ℓp-box ADMM solve at the size
-// SparseTransfer's ℐ-step uses for a 16×3×16×16 clip.
+// SparseTransfer's ℐ-step uses for a 16×3×16×16 clip (d = 12288, k = 15 %)
+// and at the golden tests' 4×3×8×8 clip.
 func BenchmarkMinimizeCardinality(b *testing.B) {
-	c := benchCosts(12288)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinimizeCardinality(c, 1843, DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct{ d, k int }{{768, 115}, {12288, 1843}} {
+		b.Run(fmt.Sprintf("d=%d/k=%d", size.d, size.k), func(b *testing.B) {
+			c := benchCosts(size.d)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MinimizeCardinality(c, size.k, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

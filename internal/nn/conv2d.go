@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"duo/internal/parallel"
 	"duo/internal/tensor"
 )
 
@@ -34,224 +33,46 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, s int) *Conv2D {
 	}
 }
 
-type conv2dCache struct{ x *tensor.Tensor }
-
 // OutShape returns the output shape for an input of shape [C,H,W].
 func (l *Conv2D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KH, l.SH, l.PH), outDim(in[2], l.KW, l.SW, l.PW)}
 }
 
-// Forward implements Layer. Filters are sharded across workers when the
-// arithmetic is worth it; every output element has a single writer, so the
-// result is bitwise-identical at every worker count.
-//
-//duolint:hot
+// dims views the layer as a one-frame 3-D convolution with a 1×KH×KW kernel.
+func (l *Conv2D) dims(in []int) convDims {
+	return convDims{
+		C: l.InC, F: l.OutC,
+		T: 1, H: in[1], W: in[2],
+		KT: 1, KH: l.KH, KW: l.KW,
+		ST: 1, SH: l.SH, SW: l.SW,
+		PH: l.PH, PW: l.PW,
+		To: 1, Ho: outDim(in[1], l.KH, l.SH, l.PH), Wo: outDim(in[2], l.KW, l.SW, l.PW),
+	}
+}
+
+// Forward implements Layer. The result is bitwise-identical at every worker
+// count (see convDims).
 func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if x.Rank() != 3 || x.Dim(0) != l.InC {
 		panic(fmt.Sprintf("nn: Conv2D(in=%d) got input shape %v", l.InC, x.Shape()))
 	}
-	in := x.Shape()
-	H, W := in[1], in[2]
-	os := l.OutShape(in)
-	Ho, Wo := os[1], os[2]
-	if Ho <= 0 || Wo <= 0 {
-		panic(fmt.Sprintf("nn: Conv2D produces empty output for input %v", in))
+	d := l.dims(x.Shape())
+	if d.Ho <= 0 || d.Wo <= 0 {
+		panic(fmt.Sprintf("nn: Conv2D produces empty output for input %v", x.Shape()))
 	}
-	out := tensor.New(os...)
-	xd, od := x.Data(), out.Data()
-	wd, bd := l.W.Value.Data(), l.B.Value.Data()
-	xsC, xsH := H*W, W
-	wsF, wsC := l.InC*l.KH*l.KW, l.KH*l.KW
-
-	computeF := func(f int) {
-		wf := wd[f*wsF : (f+1)*wsF]
-		oi := f * Ho * Wo
-		for ho := 0; ho < Ho; ho++ {
-			h0 := ho*l.SH - l.PH
-			for wo := 0; wo < Wo; wo++ {
-				w0 := wo*l.SW - l.PW
-				acc := bd[f]
-				for c := 0; c < l.InC; c++ {
-					for kh := 0; kh < l.KH; kh++ {
-						hi := h0 + kh
-						if hi < 0 || hi >= H {
-							continue
-						}
-						xrow := xd[c*xsC+hi*xsH:]
-						wrow := wf[c*wsC+kh*l.KW:]
-						for kw := 0; kw < l.KW; kw++ {
-							wi := w0 + kw
-							if wi < 0 || wi >= W {
-								continue
-							}
-							acc += xrow[wi] * wrow[kw]
-						}
-					}
-				}
-				od[oi] = acc
-				oi++
-			}
-		}
-	}
-	workers := parallel.Workers()
-	if workers > 1 && l.OutC > 1 && Ho*Wo*l.InC*l.KH*l.KW >= parallelThreshold {
-		parallel.ForN(workers, l.OutC, func(_, fs, fe int) {
-			for f := fs; f < fe; f++ {
-				computeF(f)
-			}
-		})
-	} else {
-		for f := 0; f < l.OutC; f++ {
-			computeF(f)
-		}
-	}
-	return out, &conv2dCache{x: x.Clone()}
+	out := tensor.New(d.F, d.Ho, d.Wo)
+	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
+	return out, &convCache{x: x.Clone()}
 }
 
-// Backward implements Layer. With one worker it runs the reference scatter
-// pass; with more it splits into a per-filter pass (wg, bg — disjoint
-// slices) and a per-input-element gather pass (dx), both reproducing the
-// scatter's floating-point accumulation order exactly (DESIGN.md §9).
-//
-//duolint:hot
+// Backward implements Layer: W.Grad and B.Grad accumulate, dx is returned,
+// all bitwise-identical at every worker count (see convDims).
 func (l *Conv2D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
-	cc := c.(*conv2dCache)
-	x := cc.x
+	x := c.(*convCache).x
 	in := x.Shape()
-	H, W := in[1], in[2]
-	os := l.OutShape(in)
-	Ho, Wo := os[1], os[2]
-
+	d := l.dims(in)
 	dx := tensor.New(in...)
-	xd, dxd := x.Data(), dx.Data()
-	gd := gradOut.Data()
-	wd, wg, bg := l.W.Value.Data(), l.W.Grad.Data(), l.B.Grad.Data()
-	xsC, xsH := H*W, W
-	wsF, wsC := l.InC*l.KH*l.KW, l.KH*l.KW
-
-	workers := parallel.Workers()
-	if workers <= 1 {
-		gi := 0
-		for f := 0; f < l.OutC; f++ {
-			wf := wd[f*wsF : (f+1)*wsF]
-			wgf := wg[f*wsF : (f+1)*wsF]
-			for ho := 0; ho < Ho; ho++ {
-				h0 := ho*l.SH - l.PH
-				for wo := 0; wo < Wo; wo++ {
-					w0 := wo*l.SW - l.PW
-					g := gd[gi]
-					gi++
-					if g == 0 {
-						continue
-					}
-					bg[f] += g
-					for c := 0; c < l.InC; c++ {
-						for kh := 0; kh < l.KH; kh++ {
-							hi := h0 + kh
-							if hi < 0 || hi >= H {
-								continue
-							}
-							base := c*xsC + hi*xsH
-							wbase := c*wsC + kh*l.KW
-							for kw := 0; kw < l.KW; kw++ {
-								wi := w0 + kw
-								if wi < 0 || wi >= W {
-									continue
-								}
-								wgf[wbase+kw] += g * xd[base+wi]
-								dxd[base+wi] += g * wf[wbase+kw]
-							}
-						}
-					}
-				}
-			}
-		}
-		return dx
-	}
-
-	// Pass 1 — weight and bias gradients, sharded over filters. wg[f] and
-	// bg[f] are touched only by filter f, and the per-filter accumulation
-	// order matches the scatter above.
-	parallel.ForN(workers, l.OutC, func(_, fs, fe int) {
-		for f := fs; f < fe; f++ {
-			wgf := wg[f*wsF : (f+1)*wsF]
-			gi := f * Ho * Wo
-			for ho := 0; ho < Ho; ho++ {
-				h0 := ho*l.SH - l.PH
-				for wo := 0; wo < Wo; wo++ {
-					w0 := wo*l.SW - l.PW
-					g := gd[gi]
-					gi++
-					if g == 0 {
-						continue
-					}
-					bg[f] += g
-					for c := 0; c < l.InC; c++ {
-						for kh := 0; kh < l.KH; kh++ {
-							hi := h0 + kh
-							if hi < 0 || hi >= H {
-								continue
-							}
-							base := c*xsC + hi*xsH
-							wbase := c*wsC + kh*l.KW
-							for kw := 0; kw < l.KW; kw++ {
-								wi := w0 + kw
-								if wi < 0 || wi >= W {
-									continue
-								}
-								wgf[wbase+kw] += g * xd[base+wi]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-
-	// Pass 2 — input gradient, sharded over input elements. Each dx element
-	// gathers its contributions in ascending (f, ho, wo) order: exactly the
-	// order the sequential scatter delivers them (kh/kw run descending
-	// because ho/wo grow as the kernel offset shrinks).
-	parallel.ForN(workers, len(dxd), func(_, s, e int) {
-		for idx := s; idx < e; idx++ {
-			c := idx / xsC
-			rem := idx % xsC
-			hi := rem / W
-			wi := rem % W
-			wc := c * wsC
-			sum := 0.0
-			for f := 0; f < l.OutC; f++ {
-				gf := gd[f*Ho*Wo:]
-				wf := wd[f*wsF+wc:]
-				for kh := l.KH - 1; kh >= 0; kh-- {
-					hoS := hi + l.PH - kh
-					if hoS < 0 || hoS%l.SH != 0 {
-						continue
-					}
-					ho := hoS / l.SH
-					if ho >= Ho {
-						continue
-					}
-					for kw := l.KW - 1; kw >= 0; kw-- {
-						woS := wi + l.PW - kw
-						if woS < 0 || woS%l.SW != 0 {
-							continue
-						}
-						wo := woS / l.SW
-						if wo >= Wo {
-							continue
-						}
-						g := gf[ho*Wo+wo]
-						if g == 0 {
-							continue
-						}
-						sum += g * wf[kh*l.KW+kw]
-					}
-				}
-			}
-			dxd[idx] = sum
-		}
-	})
+	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.Grad.Data(), l.B.Grad.Data())
 	return dx
 }
 

@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"duo/internal/parallel"
 	"duo/internal/tensor"
 )
-
-// parallelThreshold is the per-filter multiply-accumulate count above which
-// convolution forward passes shard their filters across workers. It is a
-// var so tests can lower it to force the parallel path on tiny layers.
-var parallelThreshold = 20000
 
 // Conv3D is a 3-D convolution over [C, T, H, W] inputs (channel-first,
 // T = temporal depth). Weights have shape [F, C, KT, KH, KW]; zero padding.
@@ -47,278 +41,45 @@ func NewConv3DFull(rng *rand.Rand, inC, outC int, kernel, stride, pad [3]int) *C
 	}
 }
 
-func outDim(in, k, s, p int) int { return (in+2*p-k)/s + 1 }
-
-type conv3dCache struct{ x *tensor.Tensor }
-
 // OutShape returns the output shape for an input of shape [C,T,H,W].
 func (l *Conv3D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KT, l.ST, l.PT), outDim(in[2], l.KH, l.SH, l.PH), outDim(in[3], l.KW, l.SW, l.PW)}
 }
 
-// Forward implements Layer. Filters are sharded across workers when there
-// is enough arithmetic to amortize the fan-out; output planes are disjoint
-// per filter, so the result is bitwise-identical at every worker count.
-//
-//duolint:hot
+func (l *Conv3D) dims(in []int) convDims {
+	return convDims{
+		C: l.InC, F: l.OutC,
+		T: in[1], H: in[2], W: in[3],
+		KT: l.KT, KH: l.KH, KW: l.KW,
+		ST: l.ST, SH: l.SH, SW: l.SW,
+		PT: l.PT, PH: l.PH, PW: l.PW,
+		To: outDim(in[1], l.KT, l.ST, l.PT), Ho: outDim(in[2], l.KH, l.SH, l.PH), Wo: outDim(in[3], l.KW, l.SW, l.PW),
+	}
+}
+
+// Forward implements Layer. The result is bitwise-identical at every worker
+// count (see convDims).
 func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if x.Rank() != 4 || x.Dim(0) != l.InC {
 		panic(fmt.Sprintf("nn: Conv3D(in=%d) got input shape %v", l.InC, x.Shape()))
 	}
-	in := x.Shape()
-	T, H, W := in[1], in[2], in[3]
-	os := l.OutShape(in)
-	To, Ho, Wo := os[1], os[2], os[3]
-	if To <= 0 || Ho <= 0 || Wo <= 0 {
-		panic(fmt.Sprintf("nn: Conv3D produces empty output for input %v", in))
+	d := l.dims(x.Shape())
+	if d.To <= 0 || d.Ho <= 0 || d.Wo <= 0 {
+		panic(fmt.Sprintf("nn: Conv3D produces empty output for input %v", x.Shape()))
 	}
-	out := tensor.New(os...)
-	xd := x.Data()
-	od := out.Data()
-	wd := l.W.Value.Data()
-	bd := l.B.Value.Data()
-
-	// Flat strides for x[C,T,H,W] and w[F,C,KT,KH,KW].
-	xsC, xsT, xsH := T*H*W, H*W, W
-	wsF := l.InC * l.KT * l.KH * l.KW
-	wsC, wsT, wsH := l.KT*l.KH*l.KW, l.KH*l.KW, l.KW
-
-	perF := To * Ho * Wo
-	// computeF fills the output plane of one filter; planes are disjoint,
-	// so filters can run concurrently.
-	computeF := func(f int) {
-		wf := wd[f*wsF : (f+1)*wsF]
-		oi := f * perF
-		for to := 0; to < To; to++ {
-			t0 := to*l.ST - l.PT
-			for ho := 0; ho < Ho; ho++ {
-				h0 := ho*l.SH - l.PH
-				for wo := 0; wo < Wo; wo++ {
-					w0 := wo*l.SW - l.PW
-					acc := bd[f]
-					for c := 0; c < l.InC; c++ {
-						for kt := 0; kt < l.KT; kt++ {
-							ti := t0 + kt
-							if ti < 0 || ti >= T {
-								continue
-							}
-							for kh := 0; kh < l.KH; kh++ {
-								hi := h0 + kh
-								if hi < 0 || hi >= H {
-									continue
-								}
-								xrow := xd[c*xsC+ti*xsT+hi*xsH:]
-								wrow := wf[c*wsC+kt*wsT+kh*wsH:]
-								for kw := 0; kw < l.KW; kw++ {
-									wi := w0 + kw
-									if wi < 0 || wi >= W {
-										continue
-									}
-									acc += xrow[wi] * wrow[kw]
-								}
-							}
-						}
-					}
-					od[oi] = acc
-					oi++
-				}
-			}
-		}
-	}
-	workers := parallel.Workers()
-	work := perF * l.InC * l.KT * l.KH * l.KW
-	if workers > 1 && l.OutC > 1 && work >= parallelThreshold {
-		parallel.ForN(workers, l.OutC, func(_, fs, fe int) {
-			for f := fs; f < fe; f++ {
-				computeF(f)
-			}
-		})
-	} else {
-		for f := 0; f < l.OutC; f++ {
-			computeF(f)
-		}
-	}
-	return out, &conv3dCache{x: x.Clone()}
+	out := tensor.New(d.F, d.To, d.Ho, d.Wo)
+	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
+	return out, &convCache{x: x.Clone()}
 }
 
-// Backward implements Layer. With one worker it runs the reference scatter
-// pass; with more it splits into a per-filter pass (wg, bg) and a
-// per-input-element gather pass (dx), both reproducing the scatter's
-// floating-point accumulation order exactly (DESIGN.md §9).
-//
-//duolint:hot
+// Backward implements Layer: W.Grad and B.Grad accumulate, dx is returned,
+// all bitwise-identical at every worker count (see convDims).
 func (l *Conv3D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
-	cc := c.(*conv3dCache)
-	x := cc.x
+	x := c.(*convCache).x
 	in := x.Shape()
-	T, H, W := in[1], in[2], in[3]
-	os := l.OutShape(in)
-	To, Ho, Wo := os[1], os[2], os[3]
-
+	d := l.dims(in)
 	dx := tensor.New(in...)
-	xd := x.Data()
-	dxd := dx.Data()
-	gd := gradOut.Data()
-	wd := l.W.Value.Data()
-	wg := l.W.Grad.Data()
-	bg := l.B.Grad.Data()
-
-	xsC, xsT, xsH := T*H*W, H*W, W
-	wsF := l.InC * l.KT * l.KH * l.KW
-	wsC, wsT, wsH := l.KT*l.KH*l.KW, l.KH*l.KW, l.KW
-	perF := To * Ho * Wo
-
-	workers := parallel.Workers()
-	if workers <= 1 {
-		gi := 0
-		for f := 0; f < l.OutC; f++ {
-			wf := wd[f*wsF : (f+1)*wsF]
-			wgf := wg[f*wsF : (f+1)*wsF]
-			for to := 0; to < To; to++ {
-				t0 := to*l.ST - l.PT
-				for ho := 0; ho < Ho; ho++ {
-					h0 := ho*l.SH - l.PH
-					for wo := 0; wo < Wo; wo++ {
-						w0 := wo*l.SW - l.PW
-						g := gd[gi]
-						gi++
-						if g == 0 {
-							continue
-						}
-						bg[f] += g
-						for c := 0; c < l.InC; c++ {
-							for kt := 0; kt < l.KT; kt++ {
-								ti := t0 + kt
-								if ti < 0 || ti >= T {
-									continue
-								}
-								for kh := 0; kh < l.KH; kh++ {
-									hi := h0 + kh
-									if hi < 0 || hi >= H {
-										continue
-									}
-									base := c*xsC + ti*xsT + hi*xsH
-									wbase := c*wsC + kt*wsT + kh*wsH
-									for kw := 0; kw < l.KW; kw++ {
-										wi := w0 + kw
-										if wi < 0 || wi >= W {
-											continue
-										}
-										wgf[wbase+kw] += g * xd[base+wi]
-										dxd[base+wi] += g * wf[wbase+kw]
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		return dx
-	}
-
-	// Pass 1 — weight and bias gradients, sharded over filters (wg[f] and
-	// bg[f] have a single writer, per-filter order matches the scatter).
-	parallel.ForN(workers, l.OutC, func(_, fs, fe int) {
-		for f := fs; f < fe; f++ {
-			wgf := wg[f*wsF : (f+1)*wsF]
-			gi := f * perF
-			for to := 0; to < To; to++ {
-				t0 := to*l.ST - l.PT
-				for ho := 0; ho < Ho; ho++ {
-					h0 := ho*l.SH - l.PH
-					for wo := 0; wo < Wo; wo++ {
-						w0 := wo*l.SW - l.PW
-						g := gd[gi]
-						gi++
-						if g == 0 {
-							continue
-						}
-						bg[f] += g
-						for c := 0; c < l.InC; c++ {
-							for kt := 0; kt < l.KT; kt++ {
-								ti := t0 + kt
-								if ti < 0 || ti >= T {
-									continue
-								}
-								for kh := 0; kh < l.KH; kh++ {
-									hi := h0 + kh
-									if hi < 0 || hi >= H {
-										continue
-									}
-									base := c*xsC + ti*xsT + hi*xsH
-									wbase := c*wsC + kt*wsT + kh*wsH
-									for kw := 0; kw < l.KW; kw++ {
-										wi := w0 + kw
-										if wi < 0 || wi >= W {
-											continue
-										}
-										wgf[wbase+kw] += g * xd[base+wi]
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-
-	// Pass 2 — input gradient, sharded over input elements. Contributions
-	// gather in ascending (f, to, ho, wo) order — the scatter's delivery
-	// order — by running the kernel offsets descending.
-	parallel.ForN(workers, len(dxd), func(_, s, e int) {
-		for idx := s; idx < e; idx++ {
-			c := idx / xsC
-			rem := idx % xsC
-			ti := rem / xsT
-			rem %= xsT
-			hi := rem / W
-			wi := rem % W
-			wc := c * wsC
-			sum := 0.0
-			for f := 0; f < l.OutC; f++ {
-				gf := gd[f*perF:]
-				wf := wd[f*wsF+wc:]
-				for kt := l.KT - 1; kt >= 0; kt-- {
-					toS := ti + l.PT - kt
-					if toS < 0 || toS%l.ST != 0 {
-						continue
-					}
-					to := toS / l.ST
-					if to >= To {
-						continue
-					}
-					for kh := l.KH - 1; kh >= 0; kh-- {
-						hoS := hi + l.PH - kh
-						if hoS < 0 || hoS%l.SH != 0 {
-							continue
-						}
-						ho := hoS / l.SH
-						if ho >= Ho {
-							continue
-						}
-						for kw := l.KW - 1; kw >= 0; kw-- {
-							woS := wi + l.PW - kw
-							if woS < 0 || woS%l.SW != 0 {
-								continue
-							}
-							wo := woS / l.SW
-							if wo >= Wo {
-								continue
-							}
-							g := gf[(to*Ho+ho)*Wo+wo]
-							if g == 0 {
-								continue
-							}
-							sum += g * wf[kt*wsT+kh*wsH+kw]
-						}
-					}
-				}
-			}
-			dxd[idx] = sum
-		}
-	})
+	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.Grad.Data(), l.B.Grad.Data())
 	return dx
 }
 
