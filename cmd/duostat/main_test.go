@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"duo"
 	"duo/internal/retrieval"
 	"duo/internal/telemetry"
 	"duo/internal/trace"
@@ -332,5 +334,95 @@ func TestFleetURLNormalization(t *testing.T) {
 	}
 	if got, _ := siblingURL("h:1", "/trace.jsonl"); got != "http://h:1/trace.jsonl" {
 		t.Errorf("sibling URL = %q", got)
+	}
+}
+
+// TestLiveFleetOneShotWatchAndDiff is the live-fleet smoke as a Go test:
+// three in-process TCP nodes (own registries, free ports) behind a Cluster,
+// its FleetSnapshot served as /fleet.json, and run() driven one-shot, in
+// -watch and over -diff of two idle captures. Everything is closed by
+// t.Cleanup; merge exactness itself is TestFleetSnapshotMergesExactly's.
+func TestLiveFleetOneShotWatchAndDiff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sys, err := duo.NewSystem(duo.SystemOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	var nodes []retrieval.Transport
+	for i := 0; i < n; i++ {
+		var mine []*duo.Video
+		for j, v := range sys.Corpus.Train {
+			if j%n == i {
+				mine = append(mine, v)
+			}
+		}
+		reg := telemetry.New()
+		shard := retrieval.NewShard(sys.VictimModel(), mine)
+		shard.SetTelemetry(reg)
+		node, err := retrieval.ServeNodeConfig("127.0.0.1:0", shard, retrieval.NodeServerConfig{Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		tr, err := retrieval.DialNodeConfig(node.Addr(), retrieval.TCPConfig{Timeout: retrieval.DefaultCallTimeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, tr)
+	}
+	cluster := retrieval.NewCluster(sys.VictimModel(), nodes).SetPolicy(retrieval.RequireAll())
+	cluster.SetTelemetry(telemetry.New())
+	t.Cleanup(func() { cluster.Close() })
+	if _, err := cluster.RetrieveErr(sys.Corpus.Test[0], 5); err != nil {
+		t.Fatal(err)
+	}
+	srv := serveView(t, func(r *http.Request) *retrieval.FleetView {
+		view, err := cluster.FleetSnapshot(r.URL.Query().Get("rings") == "1")
+		if err != nil {
+			t.Error(err)
+		}
+		return view
+	})
+
+	var buf bytes.Buffer
+	if err := run([]string{srv.URL}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "3/3 nodes reachable") {
+		t.Errorf("one-shot view of the live fleet:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := run([]string{"-watch", "-interval", "10ms", "-count", "2", srv.URL}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "slo availability") {
+		t.Errorf("watch printed no availability SLO line:\n%s", buf.String())
+	}
+
+	var paths []string
+	for _, name := range []string{"a.json", "b.json"} {
+		resp, err := http.Get(srv.URL + "/fleet.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(t.TempDir(), name))
+		if err := os.WriteFile(paths[len(paths)-1], body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := run([]string{"-diff", paths[0], paths[1]}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "IDENTICAL") {
+		t.Errorf("two idle captures of one fleet differ:\n%s", buf.String())
 	}
 }

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -35,13 +36,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "retrievald:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is the whole command: node mode and -hold serve until ctx is done
+// (main cancels it on interrupt, a test by calling cancel), then release
+// every listener and connection on the way out.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("retrievald", flag.ContinueOnError)
 	var (
 		mode    = fs.String("mode", "query", "node or query")
@@ -65,7 +72,6 @@ func run(args []string) error {
 
 		maxInflight = fs.Int("max-inflight", 0, "node mode: max concurrently served requests (0 = unlimited)")
 		queue       = fs.Int("queue", 0, "node mode: admission queue slots beyond -max-inflight (negative = none)")
-		coalesceWin = fs.Duration("coalesce-window", 0, "query mode: coalesce concurrent queries into batch windows flushed every window (0 disables)")
 		hold        = fs.Bool("hold", false, "query mode: stay up after the query, serving -admin endpoints (incl. /fleet.json) until interrupted")
 		runtimeSamp = fs.Duration("runtime-stats", 5*time.Second, "runtime gauge sampling interval (heap, goroutines, GC pauses); 0 disables")
 	)
@@ -91,7 +97,7 @@ func run(args []string) error {
 		}
 		defer srv.Close()
 		adminMux = mux
-		fmt.Printf("admin endpoints on http://%s/ (metrics.json, fleet.json, trace.jsonl, debug/vars, debug/pprof/)\n", lnAddr)
+		fmt.Fprintf(stdout, "admin endpoints on http://%s/ (metrics.json, fleet.json, trace.jsonl, debug/vars, debug/pprof/)\n", lnAddr)
 	}
 	// A data node always runs a registry, -admin or not: the coordinator's
 	// fleet view pulls node snapshots over the wire, and a node without
@@ -153,9 +159,9 @@ func run(args []string) error {
 			return fmt.Errorf("unknown -engine %q (want exact or pq)", *engine)
 		}
 		if fromDisk {
-			fmt.Printf("loaded %s feature index from %s\n", *engine, *idxFile)
+			fmt.Fprintf(stdout, "loaded %s feature index from %s\n", *engine, *idxFile)
 		} else if *idxFile != "" {
-			fmt.Printf("built and saved %s feature index to %s\n", *engine, *idxFile)
+			fmt.Fprintf(stdout, "built and saved %s feature index to %s\n", *engine, *idxFile)
 		}
 		srv, err := retrieval.ServeNodeConfig(*addr, nodeIdx, retrieval.NodeServerConfig{
 			Trace: tracer,
@@ -174,9 +180,9 @@ func run(args []string) error {
 		// limits that produced them.
 		reg.Gauge("node.admission.config.max_inflight").Set(int64(*maxInflight))
 		reg.Gauge("node.admission.config.queue").Set(int64(*queue))
-		fmt.Printf("node serving shard %s (%d videos) on %s\n", *shard, len(mine), srv.Addr())
+		fmt.Fprintf(stdout, "node serving shard %s (%d videos) on %s\n", *shard, len(mine), srv.Addr())
 		if *maxInflight > 0 {
-			fmt.Printf("admission: max %d in flight, %d queued; excess load is shed\n", *maxInflight, *queue)
+			fmt.Fprintf(stdout, "admission: max %d in flight, %d queued; excess load is shed\n", *maxInflight, *queue)
 		}
 		if adminMux != nil {
 			// A node's /fleet.json is the fleet-of-one view of itself, so
@@ -195,9 +201,7 @@ func run(args []string) error {
 				})
 			})
 		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
+		<-ctx.Done()
 		return nil
 
 	case "query":
@@ -250,25 +254,11 @@ func run(args []string) error {
 			})
 		}
 
-		// Optional coalescing front door: concurrent queries park in a
-		// window flushed every -coalesce-window (or when full) and execute
-		// as one batch. For this CLI's single query it adds one window of
-		// latency; it exists here so a scripted fan-out of retrievald
-		// processes behind one coordinator exercises the serving front door.
-		var front retrieval.FallibleRetriever = cluster
-		if *coalesceWin > 0 {
-			co := retrieval.NewCoalescer(cluster, retrieval.CoalescerConfig{Window: *coalesceWin})
-			co.SetTelemetry(reg)
-			defer co.Close()
-			reg.Gauge("coalesce.config.window_ms").Set(coalesceWin.Milliseconds())
-			front = co
-		}
-
 		if *index < 0 || *index >= len(sys.Corpus.Test) {
 			return fmt.Errorf("index %d out of range [0,%d)", *index, len(sys.Corpus.Test))
 		}
 		q := sys.Corpus.Test[*index]
-		rs, err := front.RetrieveErr(q, *m)
+		rs, err := cluster.RetrieveErr(q, *m)
 		if err != nil {
 			for _, h := range cluster.Health() {
 				if h.LastError != "" || h.Sheds > 0 {
@@ -284,15 +274,13 @@ func run(args []string) error {
 			}
 			fmt.Fprintf(os.Stderr, "retrievald: partial results (%s): %v\n", pol, err)
 		}
-		fmt.Printf("query %s (label %d) → top-%d [policy %s]:\n", q.ID, q.Label, *m, pol)
+		fmt.Fprintf(stdout, "query %s (label %d) → top-%d [policy %s]:\n", q.ID, q.Label, *m, pol)
 		for i, r := range rs {
-			fmt.Printf("%2d. %-28s label=%d dist=%.4f\n", i+1, r.ID, r.Label, r.Dist)
+			fmt.Fprintf(stdout, "%2d. %-28s label=%d dist=%.4f\n", i+1, r.ID, r.Label, r.Dist)
 		}
 		if *hold {
-			fmt.Println("holding: admin endpoints stay up until interrupt (ctrl-c)")
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, os.Interrupt)
-			<-sig
+			fmt.Fprintln(stdout, "holding: admin endpoints stay up until interrupt (ctrl-c)")
+			<-ctx.Done()
 		}
 		return nil
 

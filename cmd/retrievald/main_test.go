@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"expvar"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"duo"
 	"duo/internal/retrieval"
@@ -26,7 +30,7 @@ func TestUnknownMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if err := run([]string{"-mode", "bogus"}); err == nil {
+	if err := run(context.Background(), []string{"-mode", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -35,7 +39,7 @@ func TestQueryNeedsNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if err := run([]string{"-mode", "query"}); err == nil {
+	if err := run(context.Background(), []string{"-mode", "query"}, io.Discard); err == nil {
 		t.Error("query mode without -nodes accepted")
 	}
 }
@@ -44,10 +48,10 @@ func TestNodeBadShardSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if err := run([]string{"-mode", "node", "-shard", "5/2"}); err == nil {
+	if err := run(context.Background(), []string{"-mode", "node", "-shard", "5/2"}, io.Discard); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
-	if err := run([]string{"-mode", "node", "-shard", "nonsense"}); err == nil {
+	if err := run(context.Background(), []string{"-mode", "node", "-shard", "nonsense"}, io.Discard); err == nil {
 		t.Error("malformed shard accepted")
 	}
 }
@@ -149,10 +153,10 @@ func TestQueryModeWithAdminPublishesTelemetry(t *testing.T) {
 	}
 	defer node.Close()
 
-	err = run([]string{
+	err = run(context.Background(), []string{
 		"-mode", "query", "-nodes", node.Addr(), "-index", "0", "-m", "3",
 		"-admin", "127.0.0.1:0",
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("query mode with -admin: %v", err)
 	}
@@ -179,28 +183,53 @@ func TestQueryModeWithAdminPublishesTelemetry(t *testing.T) {
 	}
 }
 
-func TestQueryModeWithCoalescingFrontDoor(t *testing.T) {
+// TestNodeModeServesUntilCancelled drives the multi-process recipe inside
+// one test process: a real `-mode node` on a free port, a `-mode query`
+// (with -hold, under an already-cancelled context, so it prints and leaves)
+// against it, then cancel — run must return nil and the port must be closed.
+// Nothing is backgrounded beyond the test's own goroutines.
+func TestNodeModeServesUntilCancelled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-mode", "node", "-addr", "127.0.0.1:0", "-shard", "0/1", "-runtime-stats", "0"}, pw)
+		pw.Close()
+	}()
+	var addr string
+	for sc := bufio.NewScanner(pr); addr == "" && sc.Scan(); {
+		if line := sc.Text(); strings.HasPrefix(line, "node serving shard") {
+			_, addr, _ = strings.Cut(line, ") on ")
+		}
 	}
-	node, err := retrieval.ServeNode("127.0.0.1:0", retrieval.NewShard(sys.VictimModel(), sys.Corpus.Train[:4]))
-	if err != nil {
-		t.Fatal(err)
+	if addr == "" {
+		t.Fatalf("node exited before serving: %v", <-done)
 	}
-	defer node.Close()
+	go io.Copy(io.Discard, pr) // keep the node's later prints from blocking it
 
-	// A single CLI query through the coalescer: the window ticker must
-	// flush it (nothing else will), and the answer must come back intact.
-	err = run([]string{
-		"-mode", "query", "-nodes", node.Addr(), "-index", "0", "-m", "3",
-		"-coalesce-window", "5ms",
-	})
-	if err != nil {
-		t.Fatalf("query mode with -coalesce-window: %v", err)
+	left, leave := context.WithCancel(context.Background())
+	leave()
+	var out bytes.Buffer
+	if err := run(left, []string{"-mode", "query", "-nodes", addr, "-policy", "all", "-index", "0", "-m", "3", "-hold"}, &out); err != nil {
+		t.Fatalf("query against the node: %v", err)
+	}
+	for _, want := range []string{"top-3", " 3. ", "holding"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("query output lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("cancelled node returned %v, want nil", err)
+	}
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Errorf("node port %s still accepts connections after run returned", addr)
 	}
 }
 
@@ -429,7 +458,7 @@ func TestQueryAgainstPQNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	err = run([]string{"-mode", "query", "-nodes", node.Addr(), "-index", "0", "-m", "3"})
+	err = run(context.Background(), []string{"-mode", "query", "-nodes", node.Addr(), "-index", "0", "-m", "3"}, io.Discard)
 	if err != nil {
 		t.Fatalf("query against pq node: %v", err)
 	}

@@ -388,7 +388,9 @@ type AttackOptions struct {
 type Report struct {
 	// APBefore and APAfter are AP@m between the (original | adversarial)
 	// video's retrieval list and the target's, in percent. The attack
-	// succeeds when APAfter > APBefore (§V-C).
+	// succeeds when APAfter > APBefore (§V-C). An untargeted run measures
+	// both against the original's own list instead, so APBefore is 100 and
+	// success is APAfter < APBefore.
 	APBefore float64
 	APAfter  float64
 	// Spa is the number of perturbed elements; PerturbedFrames is ‖φ‖₂,₀.
@@ -406,6 +408,9 @@ type Report struct {
 	Trajectory []float64
 	// Adv is the synthesized adversarial video.
 	Adv *Video
+
+	// untargeted records which way success points (set by AttackUntargeted).
+	untargeted bool
 }
 
 // Strategies lists the registered black-box optimizer strategy names
@@ -414,7 +419,12 @@ func Strategies() []string { return core.OptimizerNames() }
 
 // Attack runs the full DUO pipeline against the system's victim.
 func (s *System) Attack(v, vt *Video, surr Model, opts AttackOptions) (*Report, error) {
-	cfg := core.DefaultConfig(s.geom)
+	return s.attack(core.DefaultConfig(s.geom), v, vt, surr, opts)
+}
+
+// attack maps the options onto cfg (the targeted or untargeted defaults for
+// the system's geometry), runs the pipeline and assembles the report.
+func (s *System) attack(cfg core.Config, v, vt *Video, surr Model, opts AttackOptions) (*Report, error) {
 	if opts.K > 0 {
 		cfg.Transfer.K = opts.K
 	}
@@ -472,59 +482,22 @@ func (s *System) attackTrace(opts AttackOptions) *trace.Tracer {
 // (original | adversarial) list and the ORIGINAL's own list — the attack
 // succeeds when APAfter drops well below APBefore (≈100).
 func (s *System) AttackUntargeted(v *Video, surr Model, opts AttackOptions) (*Report, error) {
-	cfg := core.UntargetedConfig(s.geom)
-	if opts.K > 0 {
-		cfg.Transfer.K = opts.K
-	}
-	if opts.N > 0 {
-		cfg.Transfer.N = opts.N
-	}
-	if opts.Tau > 0 {
-		cfg.Transfer.Tau = opts.Tau
-		cfg.Query.Tau = opts.Tau
-	}
-	if opts.Queries > 0 {
-		cfg.Query.MaxQueries = opts.Queries
-	} else {
-		cfg.Query.MaxQueries = 600
-	}
-	if opts.IterNumH > 0 {
-		cfg.IterNumH = opts.IterNumH
-	}
-	cfg.Query.Strategy = opts.Strategy
-	if opts.Seed == 0 {
-		opts.Seed = s.opts.Seed + 13
-	}
-
-	ctx := &attack.Context{Victim: s.Victim, M: s.M, Rng: rand.New(rand.NewSource(opts.Seed)), Telemetry: s.attackTelemetry(opts), Trace: s.attackTrace(opts)}
-	res, err := core.Run(ctx, surr, v, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	origList := retrieval.IDs(s.Victim.Retrieve(v, s.M))
-	advList := retrieval.IDs(s.Victim.Retrieve(res.Adv, s.M))
-	return &Report{
-		APBefore:        metrics.APAtM(origList, origList) * 100,
-		APAfter:         metrics.APAtM(advList, origList) * 100,
-		Spa:             res.Spa(),
-		PerturbedFrames: res.PerturbedFrames(),
-		PScore:          res.PScore(),
-		PSNR:            video.PSNR(v, res.Adv),
-		SSIM:            video.SSIM(v, res.Adv),
-		Queries:         res.Queries,
-		Trajectory:      res.Trajectory,
-		Adv:             res.Adv,
-	}, nil
+	return s.attack(core.UntargetedConfig(s.geom), v, nil, surr, opts)
 }
 
-// report assembles a Report from an attack outcome.
+// report assembles a Report from an attack outcome. APBefore/APAfter are
+// measured against the target's list, or — untargeted, vt == nil — against
+// the original's own.
 func (s *System) report(v, vt *Video, out *attack.Outcome) *Report {
 	origList := retrieval.IDs(s.Victim.Retrieve(v, s.M))
-	tgtList := retrieval.IDs(s.Victim.Retrieve(vt, s.M))
+	refList := origList
+	if vt != nil {
+		refList = retrieval.IDs(s.Victim.Retrieve(vt, s.M))
+	}
 	advList := retrieval.IDs(s.Victim.Retrieve(out.Adv, s.M))
 	return &Report{
-		APBefore:        metrics.APAtM(origList, tgtList) * 100,
-		APAfter:         metrics.APAtM(advList, tgtList) * 100,
+		APBefore:        metrics.APAtM(origList, refList) * 100,
+		APAfter:         metrics.APAtM(advList, refList) * 100,
 		Spa:             out.Spa(),
 		PerturbedFrames: out.PerturbedFrames(),
 		PScore:          out.PScore(),
@@ -533,13 +506,18 @@ func (s *System) report(v, vt *Video, out *attack.Outcome) *Report {
 		Queries:         out.Queries,
 		Trajectory:      out.Trajectory,
 		Adv:             out.Adv,
+		untargeted:      vt == nil,
 	}
 }
 
 // String renders the report in the layout duoattack and the examples print.
 func (r *Report) String() string {
+	succeeded := r.APAfter > r.APBefore
+	if r.untargeted {
+		succeeded = r.APAfter < r.APBefore
+	}
 	verdict := "no headway"
-	if r.APAfter > r.APBefore {
+	if succeeded {
 		verdict = "SUCCEEDED"
 	}
 	return fmt.Sprintf(

@@ -171,6 +171,12 @@ func TestAttackUntargeted(t *testing.T) {
 	if rep.Spa == 0 {
 		t.Error("no perturbation recorded")
 	}
+	// An untargeted report measures self-similarity, so success points the
+	// other way: the 100 → 40 that is no headway for a targeted run is a win.
+	rep.APBefore, rep.APAfter = 100, 40
+	if !strings.Contains(rep.String(), "SUCCEEDED") {
+		t.Errorf("untargeted 100 → 40 labelled %q", rep.String())
+	}
 }
 
 func TestReportIncludesQualityMetrics(t *testing.T) {
@@ -199,6 +205,12 @@ func TestReportString(t *testing.T) {
 	r.APAfter = 1
 	if !strings.Contains(r.String(), "no headway") {
 		t.Error("failed attack not labelled")
+	}
+
+	// A targeted report that starts at 100 and falls to 40 lost ground.
+	r = &Report{APBefore: 100, APAfter: 40}
+	if !strings.Contains(r.String(), "no headway") {
+		t.Errorf("targeted 100 → 40 labelled %q", r.String())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"duo/internal/models"
 	"duo/internal/parallel"
 	"duo/internal/retrieval"
+	"duo/internal/tensor"
 )
 
 // goldenPQ is the checked-in fingerprint of the product-quantized
@@ -33,7 +34,7 @@ const goldenPQPath = "testdata/golden_pq.json"
 
 // goldenPQSetup builds the fixed corpus, extractor, exact engine, and PQ
 // engine the golden test pins.
-func goldenPQSetup(t *testing.T) (*retrieval.Engine, *retrieval.PQEngine, []*Video) {
+func goldenPQSetup(t *testing.T) (exact, pq *retrieval.Engine, queries []*Video) {
 	t.Helper()
 	c, err := dataset.Generate(dataset.Config{
 		Name: "GoldenPQ", Categories: 4, TrainPerCategory: 15, TestPerCategory: 3,
@@ -43,14 +44,23 @@ func goldenPQSetup(t *testing.T) (*retrieval.Engine, *retrieval.PQEngine, []*Vid
 		t.Fatal(err)
 	}
 	m := models.NewC3D(rand.New(rand.NewSource(24)), models.GeometryOf(c.Train[0]), 16)
-	exact := retrieval.NewEngine(m, c.Train)
-	pq, err := retrieval.NewPQEngine(m, c.Train, retrieval.PQConfig{
+	ids := make([]string, len(c.Train))
+	labels := make([]int, len(c.Train))
+	feats := make([]*tensor.Tensor, len(c.Train))
+	for i, v := range c.Train {
+		ids[i], labels[i], feats[i] = v.ID, v.Label, models.Embed(m, v)
+	}
+	ix, err := retrieval.NewPQIndex(ids, labels, feats, retrieval.PQConfig{
 		Subspaces: 4, Centroids: 16, KMeansIters: 20, Seed: 19, RerankDepth: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exact, pq, c.Test
+	pq, err = retrieval.NewEngineFromIndex(m, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return retrieval.NewEngine(m, c.Train), pq, c.Test
 }
 
 // pqFingerprint hashes every query's full ranked list: result IDs and the
@@ -134,7 +144,7 @@ func TestGoldenPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pq.Index().WriteIndex(f); err != nil {
+	if err := pq.WriteIndex(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -145,7 +155,7 @@ func TestGoldenPQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	reloaded, err := retrieval.NewPQEngineFromIndex(pq.Model(), ix)
+	reloaded, err := retrieval.NewEngineFromIndex(pq.Model(), ix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,12 @@ import (
 // Billedquery enforces the query-billing invariant that makes DUO's
 // query-efficiency numbers measurable: inside the attack path (packages
 // .../internal/core and .../internal/attack), every victim
-// Retrieve/RetrieveErr/RetrieveBatch call must be billed against the query
-// budget. The check is CFG-grade: the issuing function must increment a
-// budget counter (an identifier or field whose name contains "queries")
-// on EVERY control-flow path from function entry to the call — the
+// Retrieve/RetrieveErr/RetrieveBatch call — and every call of
+// retrieval.Query, the dispatch function that issues one — must be billed
+// against the query budget. The check is CFG-grade: the issuing function
+// must increment a budget counter (an identifier or field whose name
+// contains "queries") on EVERY control-flow path from function entry to the
+// call — the
 // `queries++` / `telQueries.Inc()` pattern of SparseQuery's retrieveIDs
 // wrapper. Billing split across both arms of a branch satisfies the rule
 // (the lexical predecessor check this replaces could not see that);
@@ -22,7 +24,7 @@ import (
 // touchpoint.
 var Billedquery = &Analyzer{
 	Name: "billedquery",
-	Doc:  "victim Retrieve/RetrieveBatch calls in the attack path must be budget-billed on every path in the issuing function",
+	Doc:  "victim Retrieve/RetrieveBatch/retrieval.Query calls in the attack path must be budget-billed on every path in the issuing function",
 	Run:  runBilledquery,
 }
 
@@ -86,9 +88,10 @@ func eventBills(ev ast.Node) bool {
 	return bills
 }
 
-// victimCalls collects the victim query calls issued by one CFG event
-// (method calls named Retrieve/RetrieveErr/RetrieveBatch/RetrieveTraced on
-// a value receiver — package-qualified functions are not victims).
+// victimCalls collects the victim query calls issued by one CFG event:
+// method calls named Retrieve/RetrieveErr/RetrieveBatch/RetrieveTraced on a
+// value receiver, and calls of the retrieval package's Query function (no
+// other package-qualified function is a victim).
 func victimCalls(p *Pass, ev ast.Node) []*ast.CallExpr {
 	var out []*ast.CallExpr
 	inspectShallow(ev, func(n ast.Node) bool {
@@ -97,13 +100,18 @@ func victimCalls(p *Pass, ev ast.Node) []*ast.CallExpr {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !billedMethods[sel.Sel.Name] {
+		if !ok {
 			return true
 		}
-		if pkgNamePath(p.Info, sel.X) != "" {
-			return true // package function, not a victim method
+		if pkg := pkgNamePath(p.Info, sel.X); pkg != "" {
+			if sel.Sel.Name == "Query" && pathMatches(pkg, "retrieval") {
+				out = append(out, call)
+			}
+			return true
 		}
-		out = append(out, call)
+		if billedMethods[sel.Sel.Name] {
+			out = append(out, call)
+		}
 		return true
 	})
 	return out

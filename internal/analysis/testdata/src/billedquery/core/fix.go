@@ -3,6 +3,8 @@
 // calls must be preceded, in the same function, by a budget increment.
 package core
 
+import "billedquery/retrieval"
+
 type victim interface {
 	Retrieve(q string, m int) []string
 	RetrieveErr(q string, m int) ([]string, error)
@@ -57,6 +59,25 @@ func negativeBilledTraced(v victim) ([]string, error) {
 	queries++
 	_ = queries
 	return v.RetrieveTraced(nil, "q", 5)
+}
+
+// retrieval.Query is how the attack loop reaches the victim: a call of it is
+// a victim call like any Retrieve method; other functions of the package
+// are not.
+
+func positiveUnbilledQuery(v victim) ([]string, error) {
+	return retrieval.Query(v, nil, "q", 5) // want `\[billedquery\] victim Query call is not budget-billed`
+}
+
+func negativeBilledQuery(v victim) ([]string, error) {
+	queries := 0
+	queries++
+	_ = queries
+	return retrieval.Query(v, nil, "q", 5)
+}
+
+func negativePackageHelper(v victim) []string {
+	return retrieval.IDs(nil)
 }
 
 // oracle mirrors the optimizer harness shape: the victim and the billing

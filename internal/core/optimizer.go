@@ -14,10 +14,10 @@ import (
 	"duo/internal/video"
 )
 
-// ErrBudgetExhausted is returned by Oracle.Score and Oracle.ScorePair when
-// the query budget has no room for the request. Strategies that poll
-// Remaining() before scoring never see it; it is the harness's backstop
-// against a strategy overspending the budget.
+// ErrBudgetExhausted is returned by Oracle.Score when the query budget has
+// no room for the request. Strategies that poll Remaining() before scoring
+// never see it; it is the harness's backstop against a strategy overspending
+// the budget.
 var ErrBudgetExhausted = errors.New("core: query budget exhausted")
 
 // BlackBoxOptimizer is one strategy for rectifying a perturbation against
@@ -29,8 +29,8 @@ var ErrBudgetExhausted = errors.New("core: query budget exhausted")
 // refunded), span tracing (the `queries` attribute appears only on leaf
 // retrieve spans and sums to the billed count), write-only telemetry, and
 // the monotone best-so-far trajectory. A strategy proposes candidate
-// videos via Oracle.Score / Oracle.ScorePair and commits progress via
-// Oracle.Accept; it must confine its perturbations to Oracle.Support()
+// videos via Oracle.Score and commits progress via Oracle.Accept; it must
+// confine its perturbations to Oracle.Support()
 // inside the ±τ box (Oracle.ApplyStep / Oracle.SetStep enforce the box),
 // draw all randomness from Oracle.Rng(), and never touch the victim by any
 // other path. The contract battery in optimizer_contract_test.go holds every
@@ -103,10 +103,7 @@ type Oracle struct {
 	support []int
 
 	// retries is the per-query retry allowance for fallible victims.
-	retries  int
-	fallible retrieval.FallibleRetriever
-	traced   retrieval.TracedRetriever
-	batcher  retrieval.BatchRetriever
+	retries int
 
 	tr *trace.Tracer
 	// qsp is the sparsequery span; retrParent is where the next leaf
@@ -127,13 +124,10 @@ type Oracle struct {
 	res  *QueryResult
 
 	// idsBuf backs the ID projection of the most recent victim answer.
-	// Every retrieveIDs/ScorePair result aliases it and is consumed (scored)
-	// before the next query, so one buffer serves the whole walk; the
-	// round-long reference lists are owned copies, never aliases.
+	// Every retrieveIDs result aliases it and is consumed (scored) before the
+	// next query, so one buffer serves the whole walk; the round-long
+	// reference lists are owned copies, never aliases.
 	idsBuf []string
-	// pairBuf carries the two videos of a batched pair round-trip; the
-	// batcher contract is synchronous, so the slice is reusable per call.
-	pairBuf [2]*video.Video
 	// spares recycles candidate videos a strategy has released: a
 	// steady-state walk allocates one candidate per in-flight arm and then
 	// reuses that storage for the rest of the round.
@@ -218,10 +212,6 @@ func (o *Oracle) Current() *video.Video { return o.cur }
 
 // CurrentT returns the objective 𝕋 of Current.
 func (o *Oracle) CurrentT() float64 { return o.tCur }
-
-// PairBatching reports whether ScorePair can send a candidate pair in one
-// batched round-trip (an infallible victim implementing BatchRetriever).
-func (o *Oracle) PairBatching() bool { return o.batcher != nil }
 
 // Accept applies the non-increase rule of Eq. (3): a candidate whose 𝕋 did
 // not increase becomes the new current state (equality keeps the walk
@@ -308,33 +298,6 @@ func (o *Oracle) Score(cand *video.Video) (float64, error) {
 	return o.objective(cand)
 }
 
-// ScorePair evaluates two candidates in one batched round-trip, billing
-// both. It requires PairBatching() and budget for two queries.
-func (o *Oracle) ScorePair(a, b *video.Video) (float64, float64, error) {
-	if o.batcher == nil {
-		return 0, 0, fmt.Errorf("core: victim does not support pair batching")
-	}
-	if o.queries+2 > o.cfg.MaxQueries {
-		return 0, 0, ErrBudgetExhausted
-	}
-	rsp := o.tr.Start(o.retrParent, "retrieve")
-	o.queries += 2
-	o.telQueries.Add(2)
-	o.res.BatchedPairs++
-	o.pairBuf[0], o.pairBuf[1] = a, b
-	lists := o.batcher.RetrieveBatch(o.pairBuf[:], o.ctx.m)
-	rsp.SetInt("queries", 2)
-	rsp.SetStr("outcome", "ok")
-	rsp.SetStr("kind", "pair")
-	rsp.End()
-	// Each projected list is fully consumed by score before the buffer is
-	// refilled for the second arm.
-	o.idsBuf = retrieval.IDsInto(o.idsBuf, lists[0])
-	ta := o.score(o.idsBuf)
-	o.idsBuf = retrieval.IDsInto(o.idsBuf, lists[1])
-	return ta, o.score(o.idsBuf), nil
-}
-
 // objective is Score without the budget backstop: one victim query plus
 // the billing-free Eq. (2) evaluation. The harness uses it directly for
 // the initial 𝕋⁰ evaluation, which the paper charges even on a budget of
@@ -356,30 +319,22 @@ func (o *Oracle) score(advList []string) float64 {
 	return metrics.Objective(o.sim, advList, o.origList, o.targetList, o.cfg.Eta)
 }
 
-// retrieveIDs issues one victim query, retrying a fallible victim up to
-// `retries` extra times; every attempt counts against the budget. The
-// returned list aliases o.idsBuf and is valid only until the next victim
-// query — callers that keep a list across queries (the reference fetch)
-// must copy it. A nil
-// error guarantees the list is complete — a failed node must never leak a
-// silently-partial top-m into 𝕋 (Eq. 2). Each call records one leaf
-// retrieve span whose `queries` attribute is exactly what this call
-// billed, retries included — EXCEPT sheds: an attempt the victim refused
-// at admission (ErrOverloaded) is refunded, because the victim never
-// served it. Shed attempts still consume a retry slot (the loop is bounded
-// by `retries`, not by budget), and they surface on the span as a `shed`
-// attribute, never inside `queries`.
+// retrieveIDs issues one victim query through retrieval.Query, retrying a
+// failed one up to `retries` extra times; every attempt counts against the
+// budget. An infallible victim is simply the case where the first attempt
+// returns a nil error. The returned list aliases o.idsBuf and is valid only
+// until the next victim query — callers that keep a list across queries (the
+// reference fetch) must copy it. A nil error guarantees the list is complete
+// — a failed node must never leak a silently-partial top-m into 𝕋 (Eq. 2).
+// Each call records one leaf retrieve span whose `queries` attribute is
+// exactly what this call billed, retries included — EXCEPT sheds: an attempt
+// the victim refused at admission (ErrOverloaded) is refunded, because the
+// victim never served it. Shed attempts still consume a retry slot (the loop
+// is bounded by `retries`, not by budget), and they surface on the span as a
+// `shed` attribute, never inside `queries`. A traced victim (the cluster)
+// attributes per-node child spans under the retrieve leaf.
 func (o *Oracle) retrieveIDs(qv *video.Video) ([]string, error) {
 	rsp := o.tr.Start(o.retrParent, "retrieve")
-	if o.fallible == nil {
-		o.queries++
-		o.telQueries.Inc()
-		o.idsBuf = retrieval.IDsInto(o.idsBuf, o.ctx.victim.Retrieve(qv, o.ctx.m))
-		rsp.SetInt("queries", 1)
-		rsp.SetStr("outcome", "ok")
-		rsp.End()
-		return o.idsBuf, nil
-	}
 	billed := 0
 	shed := 0
 	var lastErr error
@@ -389,16 +344,7 @@ func (o *Oracle) retrieveIDs(qv *video.Video) ([]string, error) {
 		}
 		o.queries++
 		billed++
-		var rs []retrieval.Result
-		var err error
-		// A traced victim (the cluster) attributes per-node child spans
-		// under this retrieve leaf; results and billing are identical to
-		// RetrieveErr.
-		if tc := rsp.Ctx(); o.traced != nil && tc.Valid() {
-			rs, err = o.traced.RetrieveTraced(tc, qv, o.ctx.m)
-		} else {
-			rs, err = o.fallible.RetrieveErr(qv, o.ctx.m)
-		}
+		rs, err := retrieval.Query(o.ctx.victim, rsp.Ctx(), qv, o.ctx.m)
 		if errors.Is(err, retrieval.ErrOverloaded) {
 			// Load shed: the request never reached a shard, so it is not a
 			// query the victim answered. Refund the bill and account the
@@ -461,25 +407,9 @@ func permInto(rng *rand.Rand, dst []int, n int) []int {
 }
 
 // fetchReferences bills the reference lists for Eq. (2): the original's
-// list, and (targeted) the target's. Targeted rounds against a batching
-// victim fetch both in one round-trip; billing and results are identical
-// to two Retrieves.
+// list, and (targeted) the target's. They outlive every later query, so they
+// must own their storage: retrieveIDs results alias the per-query buffer.
 func (o *Oracle) fetchReferences() error {
-	if o.batcher != nil && o.mode != Untargeted {
-		rsp := o.tr.Start(o.qsp, "retrieve")
-		o.queries += 2
-		o.telQueries.Add(2)
-		o.pairBuf[0], o.pairBuf[1] = o.v, o.vt
-		lists := o.batcher.RetrieveBatch(o.pairBuf[:], o.ctx.m)
-		o.origList, o.targetList = retrieval.IDs(lists[0]), retrieval.IDs(lists[1])
-		rsp.SetInt("queries", 2)
-		rsp.SetStr("outcome", "ok")
-		rsp.SetStr("kind", "batch")
-		rsp.End()
-		return nil
-	}
-	// The reference lists outlive every later query, so they must own their
-	// storage: retrieveIDs results alias the per-query buffer.
 	ids, err := o.retrieveIDs(o.v)
 	if err != nil {
 		return err

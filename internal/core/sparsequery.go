@@ -7,7 +7,6 @@ import (
 	"duo/internal/attack"
 	"duo/internal/mathx"
 	"duo/internal/metrics"
-	"duo/internal/retrieval"
 	"duo/internal/trace"
 	"duo/internal/video"
 )
@@ -66,15 +65,6 @@ type QueryConfig struct {
 	// negative disables retries. Only distributed victims exposing
 	// RetrieveErr can fail; plain engines never trigger this path.
 	QueryRetries int
-	// BatchPairs evaluates each iteration's +ε/−ε candidate pair in one
-	// RetrieveBatch round-trip when the victim implements
-	// retrieval.BatchRetriever. Both arms are billed even when +ε alone
-	// would have been accepted, so the walk trades query-budget efficiency
-	// for round-trip latency; it is therefore opt-in and off by default.
-	// Fallible (distributed) victims always take the sequential path —
-	// their retry accounting needs one query at a time. Only the
-	// sparsequery strategy batches pairs.
-	BatchPairs bool
 }
 
 // DefaultQueryConfig returns the paper's SparseQuery settings scaled down
@@ -102,9 +92,6 @@ type QueryResult struct {
 	// every shed attempt, keeping the attack's query count equal to what the
 	// victim actually answered.
 	Shed int
-	// BatchedPairs counts iterations whose ±ε pair went to the victim as
-	// one batched round-trip (cfg.BatchPairs against a BatchRetriever).
-	BatchedPairs int
 }
 
 // SparseQuery runs the black-box rectification stage: the strategy named
@@ -121,11 +108,10 @@ func SparseQuery(ctx *attack.Context, v, vt *video.Video, masks *Masks, cfg Quer
 // sparsequery span (carrying the strategy name), one query.step span per
 // strategy iteration, and one leaf retrieve span per victim round-trip.
 // The `queries` attribute appears ONLY on retrieve leaves and covers every
-// billing site — reference fetches, walk steps, retries, batched pairs —
-// so Σ queries over retrieve spans equals the round's billed query count
-// exactly (duotrace enforces this). The harness below owns everything the
-// contracts bind; the selected BlackBoxOptimizer only ever sees the
-// Oracle.
+// billing site — reference fetches, walk steps, retries — so Σ queries over
+// retrieve spans equals the round's billed query count exactly (duotrace
+// enforces this). The harness below owns everything the contracts bind; the
+// selected BlackBoxOptimizer only ever sees the Oracle.
 func sparseQuery(ctx *attack.Context, parent *trace.Span, v, vt *video.Video, masks *Masks, cfg QueryConfig) (*QueryResult, error) {
 	if cfg.MaxQueries <= 0 {
 		return nil, fmt.Errorf("core: non-positive query budget %d", cfg.MaxQueries)
@@ -198,13 +184,6 @@ func sparseQuery(ctx *attack.Context, parent *trace.Span, v, vt *video.Video, ma
 		telTraj:    ctx.Telemetry.Ring("attack.trajectory", 512),
 	}
 	o.retrParent = qsp
-	o.fallible, _ = ctx.Victim.(retrieval.FallibleRetriever)
-	o.traced, _ = ctx.Victim.(retrieval.TracedRetriever)
-	// A fallible victim keeps the one-query-at-a-time path so retries are
-	// billed per attempt; batching is only sound when Retrieve cannot fail.
-	if o.fallible == nil {
-		o.batcher, _ = ctx.Victim.(retrieval.BatchRetriever)
-	}
 
 	// Reference lists for Eq. (2). Untargeted runs have no target list and
 	// minimize ℍ(R(v_adv), R(v)) + η alone. A victim that cannot answer
@@ -257,7 +236,6 @@ func sparseQuery(ctx *attack.Context, parent *trace.Span, v, vt *video.Video, ma
 	qsp.SetInt("round_queries", int64(res.Queries))
 	qsp.SetInt("skipped", int64(res.Skipped))
 	qsp.SetInt("shed", int64(res.Shed))
-	qsp.SetInt("batched_pairs", int64(res.BatchedPairs))
 	return res, nil
 }
 
@@ -357,9 +335,9 @@ func (sparseQueryOpt) Optimize(o *Oracle) error {
 		}
 		return cartesianCandidate(sign)
 	}
-	// tryArm issues one sequential query for a prebuilt arm; it reports
-	// whether the walk is done with this iteration's pair (the arm was
-	// accepted, or the budget ran out before it could be queried).
+	// tryArm issues one query for a prebuilt arm; it reports whether the
+	// walk is done with this iteration's pair (the arm was accepted, or the
+	// budget ran out before it could be queried).
 	tryArm := func(cand *video.Video, changed bool) bool {
 		if !changed {
 			return false // no-op candidate, don't waste a query
@@ -377,17 +355,6 @@ func (sparseQueryOpt) Optimize(o *Oracle) error {
 		}
 		return o.Accept(cand, tNew)
 	}
-	// trySequential walks a prebuilt pair in Eq. (3) order (+ε before −ε),
-	// one victim query each, keeping the first non-increasing candidate and
-	// releasing both arms' storage back to the oracle.
-	trySequential := func(candP, candM *video.Video, okP, okM bool) {
-		if !tryArm(candP, okP) {
-			tryArm(candM, okM)
-		}
-		o.Release(candP)
-		o.Release(candM)
-	}
-	pairBatch := cfg.BatchPairs && o.PairBatching()
 
 	for o.Remaining() > 0 {
 		// Line 5: sample q from the basis without replacement; reshuffle
@@ -405,34 +372,16 @@ func (sparseQueryOpt) Optimize(o *Oracle) error {
 			stepSp.SetInt("pixel", int64(support[perm[pi%len(perm)]]))
 		}
 
-		// Lines 6–14 / Eq. (3): try +ε then −ε, keeping the first
-		// candidate that does not increase 𝕋.
-		if pairBatch {
-			candP, okP := buildCandidate(1)
-			candM, okM := buildCandidate(-1)
-			if okP && okM && o.Remaining() >= 2 {
-				// Both arms go out in one round-trip; both are billed.
-				// Acceptance order is unchanged: +ε wins whenever it
-				// qualifies, so the per-iteration walk matches the
-				// sequential one exactly.
-				tp, tm, err := o.ScorePair(candP, candM)
-				if err != nil {
-					o.Skip()
-				} else if !o.Accept(candP, tp) {
-					o.Accept(candM, tm)
-				}
-				o.Release(candP)
-				o.Release(candM)
-			} else {
-				// A no-op arm or budget for at most one query: fall back
-				// to the sequential walk over the prebuilt pair.
-				trySequential(candP, candM, okP, okM)
-			}
-		} else {
-			candP, okP := buildCandidate(1)
-			candM, okM := buildCandidate(-1)
-			trySequential(candP, candM, okP, okM)
+		// Lines 6–14 / Eq. (3): build the pair, then try +ε before −ε, one
+		// victim query each, keeping the first candidate that does not
+		// increase 𝕋 and releasing both arms' storage back to the oracle.
+		candP, okP := buildCandidate(1)
+		candM, okM := buildCandidate(-1)
+		if !tryArm(candP, okP) {
+			tryArm(candM, okM)
 		}
+		o.Release(candP)
+		o.Release(candM)
 		pi++
 		o.Record()
 		stepSp.SetFloat("T", o.tCur)

@@ -18,11 +18,11 @@ func TestScanTopMIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
-	e, q := benchIndex(256, 32)
+	s, q := benchIndex(256, 32)
 	sc := new(galleryScratch)
 	dst := make([]Result, 0, 10)
 	got := allocsStable(func() {
-		dst = e.g.topM(dst, q, 10, 1, sc)
+		dst = s.g.topM(dst, q, 10, 1, sc)
 	})
 	if got != 0 {
 		t.Errorf("topM with warm dst+scratch: %.1f allocs/op, want 0", got)
@@ -40,15 +40,15 @@ func TestPQAdcSelectZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
-	e, feat := benchIndex(256, 32)
-	ix, err := trainPQ(e.g, PQConfig{
+	ids, labels, rows, feat := benchRows(256, 32)
+	ix, err := NewPQIndex(ids, labels, rows, PQConfig{
 		Subspaces:   8,
 		Centroids:   16,
 		Seed:        7,
 		RerankDepth: 32,
 	})
 	if err != nil {
-		t.Fatalf("trainPQ: %v", err)
+		t.Fatalf("NewPQIndex: %v", err)
 	}
 	defer ix.Close()
 	sc := new(pqScratch)

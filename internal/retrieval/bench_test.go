@@ -11,31 +11,37 @@ import (
 	"duo/internal/tensor"
 )
 
-// benchIndex builds a synthetic model-free engine of n dense dim-d rows
-// plus a query feature, isolating the gallery scan (the Retrieve hot loop)
-// from feature extraction.
-func benchIndex(n, dim int) (*Engine, []float64) {
+// benchRows synthesizes n dense dim-d feature rows plus a query feature.
+func benchRows(n, dim int) (ids []string, labels []int, rows []*tensor.Tensor, q []float64) {
 	rng := rand.New(rand.NewSource(11))
-	ids := make([]string, n)
-	labels := make([]int, n)
-	rows := make([]*tensor.Tensor, n)
+	ids = make([]string, n)
+	labels = make([]int, n)
+	rows = make([]*tensor.Tensor, n)
 	for i := range rows {
 		ids[i], labels[i], rows[i] = fmt.Sprintf("v%05d", i), i%10, tensor.RandNormal(rng, 0, 1, dim)
 	}
-	return &Engine{g: mustGallery(galleryFromRows(ids, labels, rows))}, tensor.RandNormal(rng, 0, 1, dim).Data()
+	return ids, labels, rows, tensor.RandNormal(rng, 0, 1, dim).Data()
+}
+
+// benchIndex builds a synthetic exact index of n dense dim-d rows plus a
+// query feature, isolating the gallery scan (the Retrieve hot loop) from
+// feature extraction.
+func benchIndex(n, dim int) (*Shard, []float64) {
+	ids, labels, rows, q := benchRows(n, dim)
+	return NewShardFromFeatures(ids, labels, rows), q
 }
 
 // BenchmarkRetrieveParallel measures the sharded top-m scan (with pooled
 // scratch, as Engine.Retrieve runs it) at several worker counts on a
 // 1k-video gallery.
 func BenchmarkRetrieveParallel(b *testing.B) {
-	e, q := benchIndex(1000, 64)
+	s, q := benchIndex(1000, 64)
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = e.g.pooledTopM(&e.scratch, q, 10, w)
+				_ = s.nearest(q, 10, w)
 			}
 		})
 	}
@@ -44,8 +50,7 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 // BenchmarkShardNearest measures the per-node scan of the distributed path
 // (single-threaded by design, pooled scratch).
 func BenchmarkShardNearest(b *testing.B) {
-	e, feat := benchIndex(1000, 64)
-	s := &Shard{g: e.g}
+	s, feat := benchIndex(1000, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +72,7 @@ func allocsStable(f func()) float64 {
 }
 
 // TestDisabledTelemetryAddsNoAllocations is the zero-overhead contract on
-// the Retrieve hot path: with no registry wired, the instrumented timedScan
+// the Retrieve hot path: with no registry wired, the instrumented scan
 // must allocate exactly as much as the raw scan — nothing for telemetry.
 func TestDisabledTelemetryAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
@@ -77,11 +82,11 @@ func TestDisabledTelemetryAddsNoAllocations(t *testing.T) {
 		// comparison is meaningless. The non-race CI step pins it.
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
-	e, q := benchIndex(256, 32)
-	baseline := allocsStable(func() { _ = e.g.pooledTopM(&e.scratch, q, 10, 1) })
-	instrumented := allocsStable(func() { _ = e.timedScan(q, 10, 1) })
+	s, q := benchIndex(256, 32)
+	baseline := allocsStable(func() { _ = s.nearest(q, 10, 1) })
+	instrumented := allocsStable(func() { _ = s.tel.scan(s, q, 10, 1) })
 	if instrumented != baseline {
-		t.Errorf("disabled telemetry changed allocations: scan %.1f, timedScan %.1f allocs/op",
+		t.Errorf("disabled telemetry changed allocations: scan %.1f, instrumented %.1f allocs/op",
 			baseline, instrumented)
 	}
 }
@@ -92,12 +97,12 @@ func TestEnabledTelemetryAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs exact allocation counts")
 	}
-	e, q := benchIndex(256, 32)
-	baseline := allocsStable(func() { _ = e.g.pooledTopM(&e.scratch, q, 10, 1) })
-	e.SetTelemetry(telemetry.New())
-	instrumented := allocsStable(func() { _ = e.timedScan(q, 10, 1) })
+	s, q := benchIndex(256, 32)
+	baseline := allocsStable(func() { _ = s.nearest(q, 10, 1) })
+	s.SetTelemetry(telemetry.New())
+	instrumented := allocsStable(func() { _ = s.tel.scan(s, q, 10, 1) })
 	if instrumented != baseline {
-		t.Errorf("enabled telemetry allocated on the hot path: scan %.1f, timedScan %.1f allocs/op",
+		t.Errorf("enabled telemetry allocated on the hot path: scan %.1f, instrumented %.1f allocs/op",
 			baseline, instrumented)
 	}
 }
@@ -111,14 +116,14 @@ func BenchmarkRetrieveTelemetry(b *testing.B) {
 			name = "enabled"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, q := benchIndex(1000, 64)
+			s, q := benchIndex(1000, 64)
 			if enabled {
-				e.SetTelemetry(telemetry.New())
+				s.SetTelemetry(telemetry.New())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = e.timedScan(q, 10, 1)
+				_ = s.tel.scan(s, q, 10, 1)
 			}
 		})
 	}

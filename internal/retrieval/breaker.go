@@ -203,22 +203,18 @@ func (b *BreakerTransport) report(probe bool, err error) {
 
 // Nearest implements Transport.
 func (b *BreakerTransport) Nearest(feat []float64, m int) ([]Result, error) {
-	return b.do(func() ([]Result, error) { return b.inner.Nearest(feat, m) })
+	return b.NearestTraced(trace.Context{}, feat, m)
 }
 
-// NearestTraced implements TracedTransport; a fast-fail never reaches the
-// inner transport, so no context crosses the wire for it.
+// NearestTraced implements TracedTransport and runs the call through the
+// breaker automaton; a fast-fail never reaches the inner transport, so no
+// context crosses the wire for it.
 func (b *BreakerTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([]Result, error) {
-	return b.do(func() ([]Result, error) { return nearestVia(b.inner, tc, feat, m) })
-}
-
-// do runs one call through the breaker state machine.
-func (b *BreakerTransport) do(call func() ([]Result, error)) ([]Result, error) {
 	allowed, probe := b.admit()
 	if !allowed {
 		return nil, ErrBreakerOpen
 	}
-	rs, err := call()
+	rs, err := nearestVia(b.inner, tc, feat, m)
 	b.report(probe, err)
 	return rs, err
 }

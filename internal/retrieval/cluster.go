@@ -75,13 +75,13 @@ func (s *Shard) Dim() int { return s.g.dim }
 // parallelism) but uses the pooled top-m heap, so serving a query does not
 // allocate an O(shard) temporary. A feat of the wrong dimension panics.
 func (s *Shard) Nearest(feat []float64, m int) []Result {
-	s.tel.queries.Inc()
-	s.tel.topM.Observe(float64(m))
-	sw := s.tel.scanNs.Start()
-	rs := s.g.pooledTopM(&s.scratch, feat, m, 1)
-	sw.Stop()
-	s.tel.scanned.Add(int64(s.g.size()))
-	return rs
+	return s.tel.scan(s, feat, m, 1)
+}
+
+// nearest is the uninstrumented scan with up to `workers` shards; the list
+// is bitwise-identical at every worker count.
+func (s *Shard) nearest(feat []float64, m, workers int) []Result {
+	return s.g.pooledTopM(&s.scratch, feat, m, workers)
 }
 
 // Transport carries nearest-neighbour calls to a data node. The in-memory

@@ -5,7 +5,8 @@
 package retrieval
 
 import (
-	"sync"
+	"fmt"
+	"io"
 	"sync/atomic"
 
 	"duo/internal/metrics"
@@ -43,6 +44,20 @@ func resolveEngineTel(r *telemetry.Registry, prefix string) engineTel {
 		batchSize: r.Histogram(prefix+".batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		topM:      r.Histogram(prefix+".top_m", []float64{1, 5, 10, 20, 50, 100}),
 	}
+}
+
+// scan runs one instrumented index query. With telemetry disabled (nil
+// instruments) it is bit- and allocation-identical to calling ix.nearest
+// directly — the zero-overhead contract the disabled-telemetry benchmark
+// pins down.
+func (t *engineTel) scan(ix index, feat []float64, m, workers int) []Result {
+	t.queries.Inc()
+	t.topM.Observe(float64(m))
+	sw := t.scanNs.Start()
+	rs := ix.nearest(feat, m, workers)
+	sw.Stop()
+	t.scanned.Add(int64(ix.Size()))
+	return rs
 }
 
 // Result is one retrieved gallery entry.
@@ -97,24 +112,63 @@ type TracedRetriever interface {
 	RetrieveTraced(tc trace.Context, v *video.Video, m int) ([]Result, error)
 }
 
-// Engine is a single-node retrieval system: one feature extractor plus an
-// in-memory gallery index.
+// Query asks r one top-m question through the richest entry point it has:
+// RetrieveTraced when r is a TracedRetriever and tc is valid, RetrieveErr
+// when it can fail, plain Retrieve (which cannot, so a nil error) otherwise.
+// It is the only place that knows the ladder of optional retriever
+// interfaces; the attack loop reaches its victim through it and nothing
+// else.
+func Query(r Retriever, tc trace.Context, v *video.Video, m int) ([]Result, error) {
+	switch r := r.(type) {
+	case TracedRetriever:
+		if tc.Valid() {
+			return r.RetrieveTraced(tc, v, m)
+		}
+		return r.RetrieveErr(v, m)
+	case FallibleRetriever:
+		return r.RetrieveErr(v, m)
+	}
+	return r.Retrieve(v, m), nil
+}
+
+// index is the model-free half of an Engine: a gallery that answers
+// raw-feature top-m queries with up to `workers` scan shards and persists
+// itself. The exact Shard and the product-quantized PQIndex implement it.
+type index interface {
+	nearest(feat []float64, m, workers int) []Result
+	Size() int
+	Dim() int
+	WriteIndex(w io.Writer) error
+}
+
+// Engine is a single-node retrieval system: one feature extractor plus one
+// in-memory gallery index, exact or product-quantized. Its black-box
+// interface is the same over either, so every attack and evaluation in the
+// repository runs against both unchanged.
 type Engine struct {
 	model   models.Model
-	g       gallery
+	idx     index
 	queries atomic.Int64
-	// scratch pools the sharded-scan workspace so a steady-state query
-	// allocates only its result slice (see gallery.pooledTopM).
-	scratch sync.Pool
 	tel     engineTel
 }
 
 var _ Retriever = (*Engine)(nil)
 var _ BatchRetriever = (*Engine)(nil)
 
-// NewEngine indexes the gallery under the given extractor.
+// NewEngine indexes the gallery under the given extractor for exact scans.
 func NewEngine(m models.Model, gallery []*video.Video) *Engine {
-	return &Engine{model: m, g: embedGallery(m, gallery)}
+	return &Engine{model: m, idx: NewShard(m, gallery)}
+}
+
+// NewEngineFromIndex attaches the query-side extractor to a built or loaded
+// index (a *Shard or a *PQIndex). The model must be the one that produced
+// the index's features, or retrieval distances are meaningless; the
+// dimension check catches the obvious mismatch.
+func NewEngineFromIndex(m models.Model, idx index) (*Engine, error) {
+	if idx.Size() > 0 && m.FeatureDim() != idx.Dim() {
+		return nil, fmt.Errorf("retrieval: model dim %d does not match index dim %d", m.FeatureDim(), idx.Dim())
+	}
+	return &Engine{model: m, idx: idx}, nil
 }
 
 // Model exposes the engine's feature extractor (white-box access used only
@@ -122,7 +176,7 @@ func NewEngine(m models.Model, gallery []*video.Video) *Engine {
 func (e *Engine) Model() models.Model { return e.model }
 
 // GallerySize returns the number of indexed videos.
-func (e *Engine) GallerySize() int { return e.g.size() }
+func (e *Engine) GallerySize() int { return e.idx.Size() }
 
 // SetTelemetry wires the engine's instruments into the registry under the
 // "retrieval" prefix; a nil registry disables instrumentation (the
@@ -145,7 +199,7 @@ func (e *Engine) ResetQueryCount() { e.queries.Store(0) }
 func (e *Engine) Retrieve(v *video.Video, m int) []Result {
 	e.queries.Add(1)
 	feat := models.Embed(e.model, v)
-	return e.timedScan(feat.Data(), m, parallel.Workers())
+	return e.tel.scan(e.idx, feat.Data(), m, parallel.Workers())
 }
 
 // RetrieveBatch implements BatchRetriever: queries fan out across workers
@@ -157,25 +211,10 @@ func (e *Engine) RetrieveBatch(vs []*video.Video, m int) [][]Result {
 	out := make([][]Result, len(vs))
 	parallel.For(len(vs), func(_, start, end int) {
 		for i := start; i < end; i++ {
-			out[i] = e.timedScan(models.Embed(e.model, vs[i]).Data(), m, 1)
+			out[i] = e.tel.scan(e.idx, models.Embed(e.model, vs[i]).Data(), m, 1)
 		}
 	})
 	return out
-}
-
-// timedScan is the instrumented Retrieve hot path: the pooled sharded scan
-// plus the per-query telemetry records. With telemetry disabled (nil
-// instruments) it is bit- and allocation-identical to calling pooledTopM
-// directly — the zero-overhead contract the disabled-telemetry benchmark
-// pins down.
-func (e *Engine) timedScan(feat []float64, m, workers int) []Result {
-	e.tel.queries.Inc()
-	e.tel.topM.Observe(float64(m))
-	sw := e.tel.scanNs.Start()
-	rs := e.g.pooledTopM(&e.scratch, feat, m, workers)
-	sw.Stop()
-	e.tel.scanned.Add(int64(e.g.size()))
-	return rs
 }
 
 // IDs extracts the ID sequence of a result list (the R^m(v) lists consumed

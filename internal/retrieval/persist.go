@@ -50,20 +50,18 @@ func ReadShard(r io.Reader) (*Shard, error) {
 	return &Shard{g: g}, nil
 }
 
-// WriteIndex persists the engine's gallery index (features only — the
-// extractor model is reconstructed separately, e.g. from its seed).
-func (e *Engine) WriteIndex(w io.Writer) error { return e.g.writeIndex(w) }
+// WriteIndex persists the engine's index in the index's own format (features
+// only — the extractor model is reconstructed separately, e.g. from its
+// seed).
+func (e *Engine) WriteIndex(w io.Writer) error { return e.idx.WriteIndex(w) }
 
-// ReadEngine loads an engine index previously written with WriteIndex and
-// attaches the query-side extractor m (which must be the model that built
-// the index, or retrieval distances are meaningless).
+// ReadEngine loads an exact engine index previously written with WriteIndex
+// and attaches the query-side extractor m (which must be the model that
+// built the index, or retrieval distances are meaningless).
 func ReadEngine(r io.Reader, m models.Model) (*Engine, error) {
-	g, err := readGallery(r)
+	s, err := ReadShard(r)
 	if err != nil {
 		return nil, err
 	}
-	if g.size() > 0 && m.FeatureDim() != g.dim {
-		return nil, fmt.Errorf("retrieval: model dim %d does not match index dim %d", m.FeatureDim(), g.dim)
-	}
-	return &Engine{model: m, g: g}, nil
+	return NewEngineFromIndex(m, s)
 }

@@ -6,14 +6,10 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 
-	"duo/internal/models"
 	"duo/internal/parallel"
 	"duo/internal/telemetry"
 	"duo/internal/tensor"
-	"duo/internal/trace"
-	"duo/internal/video"
 )
 
 // This file implements product quantization (PQ), the compressed-index
@@ -73,7 +69,8 @@ func (cfg *PQConfig) validate(n, dim int) error {
 // is the disabled state, mirroring engineTel).
 type pqTel struct {
 	// scanNs times the ADC code scan per query (pq.adc_ns — distinct from
-	// pq.scan_ns, the engine-level embed-excluded query timer).
+	// the owning engine's embed-excluded scan_ns, which also covers the
+	// re-rank).
 	scanNs *telemetry.Histogram
 	// rerankNs times the exact re-rank per query.
 	rerankNs *telemetry.Histogram
@@ -186,11 +183,6 @@ func NewPQIndex(ids []string, labels []int, feats []*tensor.Tensor, cfg PQConfig
 	if err != nil {
 		return nil, err
 	}
-	return trainPQ(g, cfg)
-}
-
-// trainPQ fits the codebooks and codes of an index over g.
-func trainPQ(g gallery, cfg PQConfig) (*PQIndex, error) {
 	n := g.size()
 	if n == 0 {
 		return nil, fmt.Errorf("retrieval: pq: empty gallery")
@@ -390,128 +382,4 @@ func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Re
 	sw.Stop()
 	ix.tel.reranked.Add(int64(len(res)))
 	return res
-}
-
-// PQEngine is a retrieval engine backed by a product-quantized index: the
-// query-side feature extractor plus a PQIndex. Its black-box interface is
-// identical to the exact Engine's, so every attack and evaluation in the
-// repository runs against it unchanged.
-type PQEngine struct {
-	model   models.Model
-	idx     *PQIndex
-	queries atomic.Int64
-	tel     engineTel
-	tracer  *trace.Tracer
-}
-
-var _ Retriever = (*PQEngine)(nil)
-var _ BatchRetriever = (*PQEngine)(nil)
-var _ FallibleRetriever = (*PQEngine)(nil)
-var _ TracedRetriever = (*PQEngine)(nil)
-
-// NewPQEngine extracts gallery features with m and trains a PQ index over
-// them.
-func NewPQEngine(m models.Model, gallery []*video.Video, cfg PQConfig) (*PQEngine, error) {
-	ix, err := trainPQ(embedGallery(m, gallery), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewPQEngineFromIndex(m, ix)
-}
-
-// NewPQEngineFromIndex attaches the query-side extractor to a built or
-// loaded index. The model must be the one that produced the index's
-// features, or retrieval distances are meaningless; the dimension check
-// catches the obvious mismatch.
-func NewPQEngineFromIndex(m models.Model, ix *PQIndex) (*PQEngine, error) {
-	if m.FeatureDim() != ix.g.dim {
-		return nil, fmt.Errorf("retrieval: pq: model dim %d does not match index dim %d", m.FeatureDim(), ix.g.dim)
-	}
-	return &PQEngine{model: m, idx: ix}, nil
-}
-
-// Index exposes the engine's underlying PQ index (persistence, telemetry).
-func (e *PQEngine) Index() *PQIndex { return e.idx }
-
-// Model exposes the engine's feature extractor (white-box access used only
-// by defenses and evaluation, never by the black-box attacks).
-func (e *PQEngine) Model() models.Model { return e.model }
-
-// GallerySize returns the number of indexed videos.
-func (e *PQEngine) GallerySize() int { return e.idx.Size() }
-
-// QueryCount returns the number of Retrieve calls served.
-func (e *PQEngine) QueryCount() int64 { return e.queries.Load() }
-
-// ResetQueryCount zeroes the query counter.
-func (e *PQEngine) ResetQueryCount() { e.queries.Store(0) }
-
-// SetTelemetry wires the engine's instruments (and the index's scan
-// instruments) into the registry under the "pq" prefix; nil disables.
-func (e *PQEngine) SetTelemetry(r *telemetry.Registry) {
-	e.tel = resolveEngineTel(r, "pq")
-	e.idx.SetTelemetry(r)
-}
-
-// SetTrace attaches a tracer: subsequent RetrieveTraced calls record one
-// pq.retrieve span each, carrying the scan shape (pq.* attributes).
-// Tracing is write-only and cannot change any retrieval result.
-func (e *PQEngine) SetTrace(t *trace.Tracer) *PQEngine {
-	e.tracer = t
-	return e
-}
-
-// Retrieve implements Retriever: embed the query and run the ADC scan +
-// exact re-rank across parallel.Workers().
-func (e *PQEngine) Retrieve(v *video.Video, m int) []Result {
-	e.queries.Add(1)
-	e.tel.queries.Inc()
-	e.tel.topM.Observe(float64(m))
-	feat := models.Embed(e.model, v)
-	sw := e.tel.scanNs.Start()
-	rs := e.idx.nearest(feat.Data(), m, parallel.Workers())
-	sw.Stop()
-	e.tel.scanned.Add(int64(e.idx.Size()))
-	return rs
-}
-
-// RetrieveErr implements FallibleRetriever; a local PQ scan cannot fail.
-func (e *PQEngine) RetrieveErr(v *video.Video, m int) ([]Result, error) {
-	return e.Retrieve(v, m), nil
-}
-
-// RetrieveTraced implements TracedRetriever: Retrieve under a span
-// recording the quantized-scan shape. Attribute values are pure functions
-// of the index and m, so the span tree is deterministic (the bare
-// "queries" attribute stays reserved for retrieve leaves, per the golden
-// trace contract).
-func (e *PQEngine) RetrieveTraced(tc trace.Context, v *video.Video, m int) ([]Result, error) {
-	sp := e.tracer.StartCtx(tc, "pq.retrieve")
-	sp.SetInt("m", int64(m))
-	sp.SetInt("pq.codes_scanned", int64(e.idx.Size()))
-	sp.SetInt("pq.rerank_depth", int64(e.idx.effectiveRerank(m)))
-	sp.SetInt("pq.subspaces", int64(e.idx.nsub))
-	rs := e.Retrieve(v, m)
-	sp.SetInt("results", int64(len(rs)))
-	sp.End()
-	return rs, nil
-}
-
-// RetrieveBatch implements BatchRetriever: independent queries fan out
-// across workers (each scanning single-threaded, so the batch is the unit
-// of parallelism) and each one is billed to QueryCount.
-func (e *PQEngine) RetrieveBatch(vs []*video.Video, m int) [][]Result {
-	e.queries.Add(int64(len(vs)))
-	e.tel.batchSize.Observe(float64(len(vs)))
-	out := make([][]Result, len(vs))
-	parallel.For(len(vs), func(_, start, end int) {
-		for i := start; i < end; i++ {
-			e.tel.queries.Inc()
-			e.tel.topM.Observe(float64(m))
-			feat := models.Embed(e.model, vs[i])
-			out[i] = e.idx.nearest(feat.Data(), m, 1)
-			e.tel.scanned.Add(int64(e.idx.Size()))
-		}
-	})
-	return out
 }

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"duo/internal/models"
 	"duo/internal/telemetry"
 	"duo/internal/tensor"
 	"duo/internal/trace"
+	"duo/internal/video"
 )
 
 // pqTestData synthesizes a clustered flat-feature gallery for index-level
@@ -34,6 +36,28 @@ func pqTestData(seed int64, n, dim int) (ids []string, labels []int, feats []*te
 		feats = append(feats, tensor.From(v, dim))
 	}
 	return ids, labels, feats
+}
+
+// newPQEngine embeds the videos under m, trains a PQ index over the
+// features and wraps it in an Engine — the PQ-backed black box next to the
+// exact NewEngine(m, vs).
+func newPQEngine(t *testing.T, m models.Model, vs []*video.Video, cfg PQConfig) (*Engine, *PQIndex) {
+	t.Helper()
+	ids := make([]string, len(vs))
+	labels := make([]int, len(vs))
+	feats := make([]*tensor.Tensor, len(vs))
+	for i, v := range vs {
+		ids[i], labels[i], feats[i] = v.ID, v.Label, models.Embed(m, v)
+	}
+	ix, err := NewPQIndex(ids, labels, feats, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngineFromIndex(m, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, ix
 }
 
 func pqTestConfig() PQConfig {
@@ -191,12 +215,9 @@ func TestPQTrainingDeterministic(t *testing.T) {
 // every query path bills QueryCount exactly once per query.
 func TestPQEngineParityAndBilling(t *testing.T) {
 	eng, c, m := testSystem(t)
-	pq, err := NewPQEngine(m, c.Train, PQConfig{
+	pq, _ := newPQEngine(t, m, c.Train, PQConfig{
 		Subspaces: 4, Centroids: 8, KMeansIters: 15, Seed: 5, RerankDepth: len(c.Train),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if pq.GallerySize() != eng.GallerySize() {
 		t.Fatalf("gallery size %d vs %d", pq.GallerySize(), eng.GallerySize())
 	}
@@ -211,8 +232,8 @@ func TestPQEngineParityAndBilling(t *testing.T) {
 	}
 	pq.ResetQueryCount()
 	pq.Retrieve(c.Test[0], 3)
-	if rs, err := pq.RetrieveErr(c.Test[0], 3); err != nil || len(rs) != 3 {
-		t.Fatalf("RetrieveErr: %v, %d results", err, len(rs))
+	if rs, err := Query(pq, trace.Context{}, c.Test[0], 3); err != nil || len(rs) != 3 {
+		t.Fatalf("Query: %v, %d results", err, len(rs))
 	}
 	batch := pq.RetrieveBatch(c.Test[:3], 4)
 	if len(batch) != 3 {
@@ -232,20 +253,19 @@ func TestPQEngineParityAndBilling(t *testing.T) {
 	}
 }
 
-// TestPQEngineTelemetry checks the write-only instrumentation contract:
-// enabling telemetry fills the pq.* instruments without changing results.
+// TestPQEngineTelemetry checks the write-only instrumentation contract: a
+// PQ-backed engine reports under retrieval.* like any other, its index under
+// pq.*, and enabling either changes no result.
 func TestPQEngineTelemetry(t *testing.T) {
-	eng, c, m := testSystem(t)
-	pq, err := NewPQEngine(m, c.Train, PQConfig{
+	_, c, m := testSystem(t)
+	pq, ix := newPQEngine(t, m, c.Train, PQConfig{
 		Subspaces: 4, Centroids: 8, KMeansIters: 15, Seed: 5, RerankDepth: len(c.Train),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	clean := IDs(pq.Retrieve(c.Test[0], 5))
 
 	reg := telemetry.New()
 	pq.SetTelemetry(reg)
+	ix.SetTelemetry(reg)
 	instrumented := IDs(pq.Retrieve(c.Test[0], 5))
 	for i := range clean {
 		if clean[i] != instrumented[i] {
@@ -253,59 +273,21 @@ func TestPQEngineTelemetry(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["pq.queries"] != 1 {
-		t.Errorf("pq.queries = %d, want 1", snap.Counters["pq.queries"])
+	n := int64(pq.GallerySize())
+	for name, want := range map[string]int64{
+		"retrieval.queries":         1,
+		"retrieval.entries_scanned": n,
+		"pq.codes_scanned":          n,
+		"pq.reranked":               n, // full-depth re-rank
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if got := snap.Counters["pq.codes_scanned"]; got != int64(pq.GallerySize()) {
-		t.Errorf("pq.codes_scanned = %d, want %d", got, pq.GallerySize())
-	}
-	if got := snap.Counters["pq.reranked"]; got != int64(pq.GallerySize()) {
-		t.Errorf("pq.reranked = %d, want full-depth %d", got, pq.GallerySize())
-	}
-	for _, h := range []string{"pq.adc_ns", "pq.rerank_ns", "pq.scan_ns"} {
+	for _, h := range []string{"pq.adc_ns", "pq.rerank_ns", "retrieval.scan_ns"} {
 		if st, ok := snap.Histograms[h]; !ok || st.Count != 1 {
 			t.Errorf("histogram %s missing or empty: %+v", h, st)
 		}
-	}
-	_ = eng
-}
-
-// TestPQEngineTraced checks the span contract: one pq.retrieve span per
-// traced query carrying the scan-shape attributes, and never the bare
-// `queries` attribute (reserved for retrieve leaf spans by the golden
-// trace contract).
-func TestPQEngineTraced(t *testing.T) {
-	_, c, m := testSystem(t)
-	pq, err := NewPQEngine(m, c.Train, PQConfig{
-		Subspaces: 4, Centroids: 8, KMeansIters: 15, Seed: 5, RerankDepth: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New("pq-test")
-	pq.SetTrace(tr)
-	rs, err := pq.RetrieveTraced(trace.Context{}, c.Test[0], 4)
-	if err != nil || len(rs) != 4 {
-		t.Fatalf("RetrieveTraced: %v, %d results", err, len(rs))
-	}
-	recs := tr.Records()
-	if len(recs) != 1 || recs[0].Name != "pq.retrieve" {
-		t.Fatalf("got %d spans %+v, want one pq.retrieve", len(recs), recs)
-	}
-	r := recs[0]
-	for attr, want := range map[string]int64{
-		"m":                4,
-		"pq.codes_scanned": int64(pq.GallerySize()),
-		"pq.rerank_depth":  6,
-		"pq.subspaces":     4,
-		"results":          4,
-	} {
-		if got, ok := r.Int(attr); !ok || got != want {
-			t.Errorf("span attr %s = %d (ok=%v), want %d", attr, got, ok, want)
-		}
-	}
-	if _, ok := r.Int("queries"); ok {
-		t.Error("pq.retrieve span carries the reserved `queries` attribute")
 	}
 }
 
@@ -314,22 +296,16 @@ func TestPQEngineTraced(t *testing.T) {
 // deeper re-rank must not lower recall.
 func TestPQRecallReasonable(t *testing.T) {
 	eng, c, m := testSystem(t)
-	shallow, err := NewPQEngine(m, c.Train, PQConfig{
+	shallow, _ := newPQEngine(t, m, c.Train, PQConfig{
 		Subspaces: 4, Centroids: 8, KMeansIters: 15, Seed: 5, RerankDepth: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r8 := RecallAtM(eng, shallow, c.Test, 5)
 	if r8 < 0.5 {
 		t.Errorf("recall@5 = %g at depth 8, want ≥ 0.5", r8)
 	}
-	deep, err := NewPQEngine(m, c.Train, PQConfig{
+	deep, _ := newPQEngine(t, m, c.Train, PQConfig{
 		Subspaces: 4, Centroids: 8, KMeansIters: 15, Seed: 5, RerankDepth: len(c.Train),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rFull := RecallAtM(eng, deep, c.Test, 5); rFull < r8-1e-9 {
 		t.Errorf("recall fell with deeper re-rank: %g → %g", r8, rFull)
 	}
@@ -344,7 +320,7 @@ func TestPQEngineFromIndexDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPQEngineFromIndex(m, ix); err == nil {
+	if _, err := NewEngineFromIndex(m, ix); err == nil {
 		t.Error("model/index dim mismatch accepted")
 	}
 }

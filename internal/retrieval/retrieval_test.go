@@ -265,11 +265,8 @@ func TestNodeServerSurvivesMalformedRequests(t *testing.T) {
 	_, c, m := testSystem(t)
 	dim := m.FeatureDim()
 	shard := NewShard(m, c.Train[:6])
-	pq, err := NewPQEngine(m, c.Train[:6], PQConfig{Subspaces: 2, Centroids: 2, Seed: 1, RerankDepth: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, index := range map[string]GalleryIndex{"shard": shard, "pq": pq.Index()} {
+	_, pq := newPQEngine(t, m, c.Train[:6], PQConfig{Subspaces: 2, Centroids: 2, Seed: 1, RerankDepth: 6})
+	for name, index := range map[string]GalleryIndex{"shard": shard, "pq": pq} {
 		srv, err := ServeNode("127.0.0.1:0", index)
 		if err != nil {
 			t.Fatal(err)

@@ -115,17 +115,12 @@ func (t *RetryTransport) backoff(k int) time.Duration {
 
 // Nearest implements Transport.
 func (t *RetryTransport) Nearest(feat []float64, m int) ([]Result, error) {
-	return t.do(func() ([]Result, error) { return t.inner.Nearest(feat, m) })
+	return t.NearestTraced(trace.Context{}, feat, m)
 }
 
-// NearestTraced implements TracedTransport: every attempt, including
-// retries, carries the same span context down the chain.
+// NearestTraced implements TracedTransport and is the retry loop: every
+// attempt, including retries, carries the same span context down the chain.
 func (t *RetryTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([]Result, error) {
-	return t.do(func() ([]Result, error) { return nearestVia(t.inner, tc, feat, m) })
-}
-
-// do runs one call through the retry loop.
-func (t *RetryTransport) do(call func() ([]Result, error)) ([]Result, error) {
 	var lastErr error
 	for k := 0; k < t.cfg.MaxAttempts; k++ {
 		if k > 0 {
@@ -136,7 +131,7 @@ func (t *RetryTransport) do(call func() ([]Result, error)) ([]Result, error) {
 			t.cfg.Sleep(t.backoff(k - 1))
 		}
 		t.telAttempts.Inc()
-		rs, err := call()
+		rs, err := nearestVia(t.inner, tc, feat, m)
 		if err == nil {
 			return rs, nil
 		}

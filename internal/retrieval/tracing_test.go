@@ -3,12 +3,14 @@ package retrieval
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
 	"time"
 
 	"duo/internal/trace"
+	"duo/internal/video"
 )
 
 // tracedStub records the span context it was called with; it stands in
@@ -220,5 +222,92 @@ func TestBreakerForwardsTraceContextAndRetries(t *testing.T) {
 	// The breaker sees through the retry layer's counter.
 	if br.Retries() != rt.Retries() || br.Retries() != 1 {
 		t.Errorf("breaker Retries() = %d, retry layer = %d, want both 1", br.Retries(), rt.Retries())
+	}
+}
+
+// TestQueryMatchesDirectMethod: Query over a plain, a fallible and a traced
+// victim returns exactly what the method it dispatches to returns — list,
+// error, and the node spans recorded under tc.
+func TestQueryMatchesDirectMethod(t *testing.T) {
+	m, c := chaosSystem(t)
+	cases := []struct {
+		name string
+		// build returns a fresh victim and the tracer whose root span the
+		// query runs under (nil: the query carries no span context).
+		build  func() (Retriever, *trace.Tracer)
+		direct func(r Retriever, tc trace.Context, v *video.Video, m int) ([]Result, error)
+		// fails and spans are what the direct call must show for the row to
+		// mean anything: an error, and root + node span records.
+		fails bool
+		spans int
+	}{
+		{
+			name:  "plain engine ignores a valid context",
+			build: func() (Retriever, *trace.Tracer) { return NewEngine(m, c.Train), trace.New("q") },
+			direct: func(r Retriever, _ trace.Context, v *video.Video, m int) ([]Result, error) {
+				return r.Retrieve(v, m), nil
+			},
+			spans: 1,
+		},
+		{
+			name: "require-all cluster with a failing node",
+			build: func() (Retriever, *trace.Tracer) {
+				cl := NewLocalCluster(m, c.Train, 2).SetPolicy(RequireAll())
+				flaky := NewFaultTransport(cl.nodes[1], FaultConfig{})
+				flaky.FailNext(100, ErrInjectedFailure)
+				cl.nodes[1] = flaky
+				return cl, nil
+			},
+			direct: func(r Retriever, _ trace.Context, v *video.Video, m int) ([]Result, error) {
+				return r.(*Cluster).RetrieveErr(v, m)
+			},
+			fails: true,
+		},
+		{
+			name: "cluster with a tracer",
+			build: func() (Retriever, *trace.Tracer) {
+				tr := trace.New("q")
+				return NewLocalCluster(m, c.Train, 3).SetTrace(tr), tr
+			},
+			direct: func(r Retriever, tc trace.Context, v *video.Video, m int) ([]Result, error) {
+				return r.(*Cluster).RetrieveTraced(tc, v, m)
+			},
+			spans: 4,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type answer struct {
+				rs    []Result
+				err   string
+				spans []byte
+			}
+			ask := func(call func(Retriever, trace.Context, *video.Video, int) ([]Result, error)) answer {
+				r, tr := tc.build()
+				root := tr.Start(nil, "retrieve")
+				rs, err := call(r, root.Ctx(), c.Test[0], 4)
+				root.End()
+				a := answer{rs: rs}
+				if err != nil {
+					a.err = err.Error()
+				}
+				var buf bytes.Buffer
+				if werr := trace.WriteRecords(&buf, tr.Records()); werr != nil {
+					t.Fatal(werr)
+				}
+				a.spans = buf.Bytes()
+				return a
+			}
+			want, got := ask(tc.direct), ask(Query)
+			if n := bytes.Count(want.spans, []byte("\n")); tc.fails != (want.err != "") || n != tc.spans {
+				t.Fatalf("direct call: err %q, %d spans; want fails=%v, %d spans", want.err, n, tc.fails, tc.spans)
+			}
+			if !reflect.DeepEqual(got.rs, want.rs) || got.err != want.err {
+				t.Errorf("Query = (%v, %q), direct = (%v, %q)", got.rs, got.err, want.rs, want.err)
+			}
+			if !bytes.Equal(got.spans, want.spans) {
+				t.Errorf("spans under tc differ:\n%s\nvs\n%s", got.spans, want.spans)
+			}
+		})
 	}
 }
