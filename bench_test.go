@@ -81,10 +81,6 @@ func BenchmarkTable9Transfer(b *testing.B) { benchExperiment(b, "table9") }
 // BenchmarkTable10Defenses regenerates Table X (defense detection rates).
 func BenchmarkTable10Defenses(b *testing.B) { benchExperiment(b, "table10") }
 
-// BenchmarkAblationADMM regenerates the ℓp-box-ADMM-vs-top-k ablation
-// (DESIGN.md §6).
-func BenchmarkAblationADMM(b *testing.B) { benchExperiment(b, "ablation-admm") }
-
 // BenchmarkAblationNDCG regenerates the NDCG-vs-plain-overlap ablation.
 func BenchmarkAblationNDCG(b *testing.B) { benchExperiment(b, "ablation-ndcg") }
 

@@ -33,7 +33,6 @@ func TestPropSparseTransferBudgetsAlwaysHold(t *testing.T) {
 			OuterIters: 1, ThetaSteps: 3,
 			Schedule: DefaultTransferConfig(g).Schedule,
 			Norm:     NormLInf,
-			UseADMM:  kRaw%2 == 0, // exercise both ℐ-step variants
 			Tol:      1e-4,
 		}
 		masks, err := SparseTransfer(surr, mk(), mk(), cfg)

@@ -38,8 +38,7 @@ type Budget struct {
 	Queries int
 	// Norm selects ℓ∞ (default) or ℓ2 projection (Table IX).
 	Norm core.NormConstraint
-	// UseADMM/UseNDCG/UseDCT drive the DESIGN.md §6 ablations.
-	UseADMM bool
+	// UseNDCG/UseDCT drive the DESIGN.md §6 ablations.
 	UseNDCG bool
 	// UseDCT switches SparseQuery to the low-frequency DCT basis.
 	UseDCT bool
@@ -56,7 +55,6 @@ func (s *Scenario) DefaultBudget() Budget {
 		IterNumH: 2,
 		Queries:  s.P.Queries,
 		Norm:     core.NormLInf,
-		UseADMM:  true,
 		UseNDCG:  true,
 	}
 }
@@ -179,7 +177,6 @@ func (s *Scenario) runDUO(ctx *attack.Context, surr models.Model, pair dataset.A
 	tcfg.N = b.N
 	tcfg.Tau = b.Tau
 	tcfg.Norm = b.Norm
-	tcfg.UseADMM = b.UseADMM
 	tcfg.OuterIters = 3
 	tcfg.ThetaSteps = 15
 

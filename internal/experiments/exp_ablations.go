@@ -30,15 +30,6 @@ func runAblation(o Options, id, title string, variants []string, mutate func(*Bu
 	return t, nil
 }
 
-// AblationADMM compares the ℓp-box ADMM ℐ-step against plain top-k
-// selection (DESIGN.md §6).
-func AblationADMM(o Options) (*Table, error) {
-	return runAblation(o, "ablation-admm",
-		"ℐ-step: ℓp-box ADMM vs plain top-k selection",
-		[]string{"ADMM", "top-k"},
-		func(b *Budget, vi int) { b.UseADMM = vi == 0 })
-}
-
 // AblationNDCG compares the NDCG-weighted ℍ against plain set overlap in
 // the SparseQuery objective (DESIGN.md §6).
 func AblationNDCG(o Options) (*Table, error) {

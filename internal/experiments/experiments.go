@@ -177,7 +177,6 @@ var registry = map[string]Runner{
 	"table8":        Table8IterNumH,
 	"table9":        Table9Transfer,
 	"table10":       Table10Defenses,
-	"ablation-admm": AblationADMM,
 	"ablation-dct":  AblationDCT,
 	"ensemble":      EnsembleDefense,
 	"stealth":       StealthComparison,

@@ -35,7 +35,7 @@ func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 		"fig3", "fig4", "fig5",
 		"table2", "table3", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10",
-		"ablation-admm", "ablation-dct", "ablation-mask", "ablation-ndcg",
+		"ablation-dct", "ablation-mask", "ablation-ndcg",
 		"ensemble", "stealth",
 	}
 	got := IDs()
@@ -227,19 +227,6 @@ func TestTable10RatesInRange(t *testing.T) {
 				t.Errorf("detection rate %g out of range", v)
 			}
 		}
-	}
-}
-
-func TestAblationADMMRuns(t *testing.T) {
-	tab, err := AblationADMM(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if tab.Rows[0][0] != "ADMM" || tab.Rows[1][0] != "top-k" {
-		t.Errorf("variant labels: %v", tab.Rows)
 	}
 }
 
