@@ -214,7 +214,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		var transports []retrieval.Transport
 		for i, a := range strings.Split(*nodes, ",") {
-			tr, err := retrieval.DialNodeTimeout(strings.TrimSpace(a), *timeout)
+			tr, err := retrieval.DialNodeConfig(strings.TrimSpace(a), retrieval.TCPConfig{Timeout: *timeout})
 			if err != nil {
 				return err
 			}

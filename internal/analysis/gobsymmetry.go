@@ -11,10 +11,10 @@ import (
 	"strings"
 )
 
-// Gobsymmetry guards the wire-compatibility contract of the distributed
-// retrieval protocol (DESIGN.md §12): every struct type this package
-// passes to gob's Encoder.Encode or Decoder.Decode is a wire type whose
-// layout is an implicit cross-process ABI. For each wire type declared in
+// Gobsymmetry guards the wire layout of the distributed retrieval
+// protocol (DESIGN.md §12): every struct type this package passes to
+// gob's Encoder.Encode or Decoder.Decode is a wire type whose layout both
+// ends of a connection must decode identically. For each wire type declared in
 // the package, the rule requires
 //
 //   - every field to be exported — gob silently drops unexported fields,

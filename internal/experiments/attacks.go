@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"duo/internal/attack"
 	"duo/internal/baseline"
@@ -71,31 +70,21 @@ type CellStats struct {
 	Outcomes []*attack.Outcome
 }
 
-// runPairs executes an attack over all pairs concurrently (model forwards
-// are pure and the retrieval engines are safe for concurrent queries) and
-// reduces the outcomes into CellStats. Each pair gets its own seeded RNG,
-// so results are identical to a sequential run.
+// runPairs executes an attack over all pairs in order and reduces the
+// outcomes into CellStats. The pairs share the cached surrogate, whose
+// backward pass accumulates into its parameter gradients, so they cannot
+// run concurrently. Each pair gets its own seeded RNG.
 func (s *Scenario) runPairs(victim retrieval.Retriever, pairs []dataset.AttackPair,
 	run func(ctx *attack.Context, pair dataset.AttackPair) (*attack.Outcome, error)) (*CellStats, error) {
-	outs := make([]*attack.Outcome, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	for pi := range pairs {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(s.Opts.Seed + int64(pi)*997))
-			ctx := &attack.Context{Victim: victim, M: s.P.M, Rng: rng, Telemetry: s.Opts.Telemetry}
-			outs[pi], errs[pi] = run(ctx, pairs[pi])
-		}(pi)
-	}
-	wg.Wait()
 	cs := &CellStats{}
-	for pi, out := range outs {
-		if errs[pi] != nil {
-			return nil, errs[pi]
+	for pi, pair := range pairs {
+		rng := rand.New(rand.NewSource(s.Opts.Seed + int64(pi)*997))
+		ctx := &attack.Context{Victim: victim, M: s.P.M, Rng: rng, Telemetry: s.Opts.Telemetry}
+		out, err := run(ctx, pair)
+		if err != nil {
+			return nil, err
 		}
-		cs.APm += out.APAtM(victim, pairs[pi].Target, s.P.M) * 100
+		cs.APm += out.APAtM(victim, pair.Target, s.P.M) * 100
 		cs.Spa += float64(out.Spa())
 		cs.PScore += out.PScore()
 		cs.Queries += float64(out.Queries)
@@ -117,8 +106,7 @@ func (s *Scenario) runAttackCell(name, ds, victimArch string, pairs []dataset.At
 	if err != nil {
 		return nil, err
 	}
-	// Resolve surrogates up front (cached, and not safe to build
-	// concurrently with themselves).
+	// Resolve the surrogate once, not per pair (it is cached).
 	var surr models.Model
 	switch name {
 	case "TIMI-C3D", "TIMI-Res18", "DUO-C3D", "DUO-Res18":

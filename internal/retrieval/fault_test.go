@@ -305,7 +305,7 @@ func TestChaosDeadlineHungNode(t *testing.T) {
 		}
 	}()
 
-	hungTr, err := DialNodeTimeout(hung.Addr().String(), 150*time.Millisecond)
+	hungTr, err := DialNodeConfig(hung.Addr().String(), TCPConfig{Timeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package retrieval
 // Integration tests for the fleet observability plane: a live multi-node
 // TCP cluster whose merged fleet view must equal the arithmetic sum of
 // the per-node snapshots, byte-stable JSON for idle re-snapshots, and
-// graceful degradation against nodes that predate the stats protocol.
+// graceful degradation against nodes whose transport cannot pull stats.
 
 import (
 	"encoding/json"
@@ -40,7 +40,7 @@ func fleetCluster(t *testing.T) (c *Cluster, sizes []int, stop func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := DialNodeTimeout(srv.Addr(), 10*time.Second)
+		tr, err := DialNodeConfig(srv.Addr(), TCPConfig{Timeout: 10 * time.Second})
 		if err != nil {
 			srv.Close()
 			t.Fatal(err)
@@ -170,8 +170,8 @@ func TestFleetSnapshotByteStable(t *testing.T) {
 	}
 }
 
-// TestFleetSnapshotDegradesOnUnsupportedNode: a node that predates the
-// stats protocol becomes an Err entry, not a failed view.
+// TestFleetSnapshotDegradesOnUnsupportedNode: a node whose transport is
+// not a StatsPuller becomes an Err entry, not a failed view.
 func TestFleetSnapshotDegradesOnUnsupportedNode(t *testing.T) {
 	m, corpus := chaosSystem(t)
 	reg := telemetry.New()
@@ -195,27 +195,6 @@ func TestFleetSnapshotDegradesOnUnsupportedNode(t *testing.T) {
 	}
 	if got, want := view.Fleet.Counters["shard.queries"], view.PerNode[0].Snapshot.Counters["shard.queries"]; got != want {
 		t.Errorf("fleet merge = %d, want the one reachable node's %d", got, want)
-	}
-}
-
-// TestTCPStatsAgainstLegacyServer: an old server answers the probe as an
-// empty scan, which the client maps to ErrStatsUnsupported — no hang, no
-// connection loss.
-func TestTCPStatsAgainstLegacyServer(t *testing.T) {
-	addr, stop := legacyNodeServer(t)
-	defer stop()
-	tr, err := DialNodeTimeout(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	_, err = tr.Stats(false)
-	if !errors.Is(err, ErrStatsUnsupported) {
-		t.Fatalf("stats against legacy server: err = %v, want ErrStatsUnsupported", err)
-	}
-	// The connection survives: a scan on the same transport still works.
-	if _, err := tr.Nearest([]float64{1, 2}, 1); err != nil {
-		t.Errorf("scan after unsupported stats probe failed: %v", err)
 	}
 }
 
@@ -251,7 +230,7 @@ func TestStatsBypassesAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr, err := DialNodeTimeout(srv.Addr(), 10*time.Second)
+	tr, err := DialNodeConfig(srv.Addr(), TCPConfig{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

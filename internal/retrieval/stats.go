@@ -8,23 +8,19 @@ import (
 )
 
 // This file is the node-side half of the fleet observability plane: a
-// stats probe that rides the existing nearest wire protocol as a
-// nil-pointer extension (like trace contexts and mux IDs before it), so
-// a coordinator can pull every data node's telemetry snapshot over the
-// connections it already holds. The probe is answered before admission
+// stats probe that rides the nearest wire protocol as a nil-pointer field
+// (like the trace context), so a coordinator can pull every data node's
+// telemetry snapshot over the connections it already holds. The probe is answered before admission
 // control — observability must stay readable while a node is shedding,
 // or the fleet view goes dark exactly when an operator needs it.
 
-// ErrStatsUnsupported is returned when a transport (or the node behind
-// it) predates the stats protocol: an old server decodes the probe as an
-// empty scan and answers without a stats payload, which the client maps
-// to this sentinel instead of inventing an empty snapshot.
+// ErrStatsUnsupported is returned when a node cannot report stats: its
+// transport is not a StatsPuller, or its probe reply carried no payload.
 var ErrStatsUnsupported = errors.New("retrieval: node does not support stats")
 
 // statsRequest asks a node for its telemetry snapshot. It rides
-// nearestRequest as a nil pointer field, so a request without a probe is
-// byte-identical to the pre-stats protocol and an old server simply
-// ignores the field (wire_test.go pins both).
+// nearestRequest as a nil pointer field, so a scan without a probe pays
+// no bytes for it (wire_test.go pins that).
 type statsRequest struct {
 	// Rings selects whether the node includes its telemetry rings
 	// (recent-sample windows — flight-recorder material, potentially
@@ -35,8 +31,8 @@ type statsRequest struct {
 // statsResponse is the node's answer, riding nearestResponse the same
 // way.
 type statsResponse struct {
-	// Snapshot is the node registry's state; empty (never nil on a new
-	// server) when the node runs without telemetry.
+	// Snapshot is the node registry's state; empty when the node runs
+	// without telemetry (gob omits it, and the client restores it).
 	Snapshot *telemetry.Snapshot
 	// Size is the node's indexed entry count.
 	Size int
@@ -83,8 +79,8 @@ type FleetNode struct {
 	// Addr and Size echo the node's self-report.
 	Addr string `json:"addr,omitempty"`
 	Size int    `json:"size,omitempty"`
-	// Err is the pull failure, "" on success. A node that predates the
-	// stats protocol reports ErrStatsUnsupported here rather than
+	// Err is the pull failure, "" on success. A node whose transport
+	// cannot pull stats reports ErrStatsUnsupported here rather than
 	// failing the whole view.
 	Err string `json:"err,omitempty"`
 	// Snapshot is the node's telemetry (nil when Err is set).

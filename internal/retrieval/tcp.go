@@ -38,25 +38,22 @@ var ErrBadRequest = errors.New("retrieval: bad request")
 // coordinator and a TCP data node: length-delimited gob messages over a
 // persistent connection.
 //
+// Every process in a fleet is one build (each rebuilds the victim from
+// -seed), so both ends always share these structs; there is no version
+// negotiation.
+//
 // TC carries the coordinator's span context so node-side spans parent
-// correctly across the process boundary. It is a pointer precisely
-// because gob omits nil pointer fields from the encoded value: an
-// untraced request is byte-identical to the pre-trace protocol, and a
-// gob decoder ignores wire fields its local struct lacks, so an old
-// server simply drops the context (wire_test.go pins both directions).
+// correctly across the process boundary. It is a pointer because gob
+// omits nil pointer fields from the encoded value, so an untraced request
+// pays nothing for it (wire_test.go pins that).
 //
 // ID multiplexes concurrent requests over one connection: a response
-// echoes its request's ID, so replies may arrive out of order. The same
-// gob property keeps this extension compatible both ways: ID 0 is omitted
-// from the wire entirely, an old server ignores the field and serializes
-// per connection (so its unnumbered replies arrive in request order and
-// the client matches them FIFO), and an old client never sends an ID, for
-// which the server falls back to serialized in-order handling.
+// echoes its request's ID, so replies may arrive out of order. The client
+// numbers every request from 1; a reply whose ID matches no waiting call
+// is a protocol error that fails the connection.
+//
 // Stats turns the message into a telemetry probe instead of a scan (see
-// stats.go); the same nil-omission property keeps scans byte-identical
-// to the pre-stats protocol, and an old server that ignores the field
-// answers the probe as an empty scan, which the client maps to
-// ErrStatsUnsupported.
+// stats.go); like TC, a nil probe adds no bytes to a scan.
 type nearestRequest struct {
 	Feat  []float64
 	M     int
@@ -68,8 +65,7 @@ type nearestRequest struct {
 // nearestResponse's Overloaded flag is how ErrOverloaded crosses the wire:
 // a typed sentinel can't ride a string field, so the client re-wraps the
 // flag into ErrOverloaded and errors.Is works across the process boundary.
-// BadRequest does the same for ErrBadRequest. An old client ignores the
-// flags and still sees the Err text.
+// BadRequest does the same for ErrBadRequest.
 type nearestResponse struct {
 	Results    []Result
 	Err        string
@@ -110,10 +106,9 @@ func (c *NodeServerConfig) applyDefaults() {
 	}
 }
 
-// NodeServer serves one shard over TCP. Multiplexed requests (ID != 0) are
-// handled concurrently, gated by the admission config; legacy unnumbered
-// requests are handled serially in request order, exactly like the
-// pre-multiplexing server.
+// NodeServer serves one shard over TCP. Requests on a connection are
+// handled concurrently, gated by the admission config, and each reply
+// echoes its request's ID.
 type NodeServer struct {
 	shard GalleryIndex
 	ln    net.Listener
@@ -234,55 +229,26 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		if req.ID == 0 {
-			// Legacy client: it has exactly one request in flight on this
-			// connection and expects the reply before the next request, so
-			// handling stays inline and serialized. Admission still applies:
-			// under saturation a queued ticket blocks right here — which is
-			// the natural backpressure for a serialized stream.
-			tk := s.adm.reserve()
-			if tk == ticketShed {
-				if !s.writeResp(conn, enc, &wmu, shedResponse(0)) {
-					return
-				}
-				continue
+		// Sheds are answered immediately from the read loop (shedding must
+		// stay cheap — that is its whole point); an admitted request gets
+		// its own handler goroutine, which waits for a slot if queued.
+		tk := s.adm.reserve()
+		if tk == ticketShed {
+			if !s.writeResp(conn, enc, &wmu, shedResponse(req.ID)) {
+				return
 			}
+			continue
+		}
+		handlers.Add(1)
+		go func(req nearestRequest) {
+			defer handlers.Done()
 			if tk == ticketQueued {
 				s.adm.acquire()
 			}
 			resp := s.handle(req)
 			s.adm.release()
-			if !s.writeResp(conn, enc, &wmu, resp) {
-				return
-			}
-			continue
-		}
-		// Multiplexed client: sheds are answered immediately from the read
-		// loop (shedding must stay cheap — that is its whole point), and
-		// admitted requests are dispatched concurrently.
-		switch s.adm.reserve() {
-		case ticketShed:
-			if !s.writeResp(conn, enc, &wmu, shedResponse(req.ID)) {
-				return
-			}
-		case ticketDirect:
-			handlers.Add(1)
-			go func(req nearestRequest) {
-				defer handlers.Done()
-				resp := s.handle(req)
-				s.adm.release()
-				s.writeResp(conn, enc, &wmu, resp)
-			}(req)
-		case ticketQueued:
-			handlers.Add(1)
-			go func(req nearestRequest) {
-				defer handlers.Done()
-				s.adm.acquire()
-				resp := s.handle(req)
-				s.adm.release()
-				s.writeResp(conn, enc, &wmu, resp)
-			}(req)
-		}
+			s.writeResp(conn, enc, &wmu, resp)
+		}(req)
 	}
 }
 
@@ -389,11 +355,10 @@ type muxReply struct {
 }
 
 // muxConn is one multiplexed connection: a dedicated reader goroutine
-// decodes responses and hands each to its waiting caller by request ID
-// (or FIFO, for unnumbered replies from a legacy server — which serializes
-// per connection, so arrival order IS request order). Any transport-level
-// error kills the whole connection: gob streams are stateful, and a
-// half-read message would desync every later one.
+// decodes responses and hands each to its waiting caller by request ID.
+// Any transport-level error kills the whole connection: gob streams are
+// stateful, and a half-read message would desync every later one. A reply
+// whose ID no call is waiting for counts as such an error.
 type muxConn struct {
 	conn net.Conn
 	enc  *gob.Encoder
@@ -402,7 +367,6 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxReply
-	order   []uint64 // FIFO of outstanding IDs, for legacy unnumbered replies
 	dead    bool
 }
 
@@ -427,33 +391,24 @@ func (c *muxConn) readLoop() {
 			c.fail(fmt.Errorf("retrieval: recv: %w", err))
 			return
 		}
-		c.deliver(resp)
-	}
-}
-
-// deliver routes one decoded response to its caller.
-func (c *muxConn) deliver(resp nearestResponse) {
-	c.mu.Lock()
-	id := resp.ID
-	if id == 0 && len(c.order) > 0 {
-		id = c.order[0]
-	}
-	ch := c.pending[id]
-	delete(c.pending, id)
-	c.dropOrderLocked(id)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- muxReply{resp: resp}
-	}
-}
-
-func (c *muxConn) dropOrderLocked(id uint64) {
-	for i, v := range c.order {
-		if v == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
+		if !c.deliver(resp) {
+			c.fail(fmt.Errorf("retrieval: recv: reply ID %d matches no pending call", resp.ID))
 			return
 		}
 	}
+}
+
+// deliver routes one decoded response to its caller; false means no call
+// is waiting for its ID.
+func (c *muxConn) deliver(resp nearestResponse) bool {
+	c.mu.Lock()
+	ch, ok := c.pending[resp.ID]
+	delete(c.pending, resp.ID)
+	c.mu.Unlock()
+	if ok {
+		ch <- muxReply{resp: resp}
+	}
+	return ok
 }
 
 // fail marks the connection dead, closes it, and errors out every waiter.
@@ -466,7 +421,6 @@ func (c *muxConn) fail(err error) {
 	c.dead = true
 	pend := c.pending
 	c.pending = make(map[uint64]chan muxReply)
-	c.order = nil
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, ch := range pend {
@@ -490,21 +444,14 @@ func (c *muxConn) register(id uint64) (chan muxReply, error) {
 	}
 	ch := make(chan muxReply, 1)
 	c.pending[id] = ch
-	c.order = append(c.order, id)
 	return ch, nil
 }
 
-func (c *muxConn) unregister(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.dropOrderLocked(id)
-	c.mu.Unlock()
-}
-
-// call registers the request and encodes it in one critical section: the
-// FIFO order slice must reflect actual wire order, and two concurrent
-// callers could otherwise register in one order and write in the other —
-// misrouting every legacy (unnumbered) reply after the inversion.
+// call registers the reply channel, then encodes the request under the
+// write mutex. Registration comes first because the reply may arrive as
+// soon as the request is on the wire, and an unmatched reply fails the
+// connection. A failed send leaves its entry registered: the caller fails
+// the connection, which drops every entry.
 func (c *muxConn) call(req *nearestRequest, timeout time.Duration) (chan muxReply, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -516,7 +463,6 @@ func (c *muxConn) call(req *nearestRequest, timeout time.Duration) (chan muxRepl
 		c.conn.SetWriteDeadline(time.Now().Add(timeout)) //duolint:allow walltime socket deadlines are wall-clock by definition; no result bit depends on them
 	}
 	if err := c.enc.Encode(req); err != nil {
-		c.unregister(req.ID)
 		return nil, fmt.Errorf("retrieval: send: %w", err)
 	}
 	return ch, nil
@@ -550,12 +496,6 @@ var _ StatsPuller = (*TCPTransport)(nil)
 // DialNode connects to a NodeServer with the default per-call deadline.
 func DialNode(addr string) (*TCPTransport, error) {
 	return DialNodeConfig(addr, TCPConfig{Timeout: DefaultCallTimeout})
-}
-
-// DialNodeTimeout connects to a NodeServer with an explicit per-call
-// deadline covering dial, send, and receive (≤ 0 disables deadlines).
-func DialNodeTimeout(addr string, timeout time.Duration) (*TCPTransport, error) {
-	return DialNodeConfig(addr, TCPConfig{Timeout: timeout})
 }
 
 // DialNodeConfig connects to a NodeServer with full transport
@@ -688,8 +628,8 @@ func (t *TCPTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([
 
 // Stats implements StatsPuller over the wire. The probe shares the scan
 // path's connections and deadlines but bypasses node-side admission, so
-// it answers even while the node sheds. An old server answers the probe
-// as an empty scan (no stats payload), which maps to ErrStatsUnsupported.
+// it answers even while the node sheds. A reply without a stats payload
+// maps to ErrStatsUnsupported, never to an invented empty snapshot.
 func (t *TCPTransport) Stats(includeRings bool) (NodeStats, error) {
 	req := nearestRequest{Stats: &statsRequest{Rings: includeRings}}
 	resp, err := t.roundTrip(&req)

@@ -2,8 +2,8 @@ package retrieval
 
 // Integration tests for the multiplexed TCP transport and the admission-
 // gated node server: concurrent in-flight dispatch over a pooled client,
-// cross-version interop against an in-test legacy (pre-mux) server, and
-// ErrOverloaded crossing the wire as a typed, connection-preserving error.
+// ErrOverloaded crossing the wire as a typed, connection-preserving error,
+// and a reply that matches no pending call failing its connection.
 
 import (
 	"encoding/gob"
@@ -152,11 +152,9 @@ func TestTCPServerShedsOverloadAcrossWire(t *testing.T) {
 	}
 }
 
-// legacyNodeServer is an in-test pre-multiplexing node: it speaks the old
-// wire structs (no ID, no Overloaded), serializes strictly per connection,
-// and answers with a payload derived from the request so the client's
-// FIFO matching is verifiable per call.
-func legacyNodeServer(t *testing.T) (addr string, stop func()) {
+// misreplyingNode answers every request as a node would, except that on
+// its first connection each reply carries badID(req) instead of req.ID.
+func misreplyingNode(t *testing.T, badID func(req nearestRequest) uint64) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -166,83 +164,74 @@ func legacyNodeServer(t *testing.T) (addr string, stop func()) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for first := true; ; first = false {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
 			wg.Add(1)
-			go func(conn net.Conn) {
+			go func(first bool) {
 				defer wg.Done()
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
+				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
 				for {
-					var req legacyNearestRequest
-					if err := dec.Decode(&req); err != nil {
+					var req nearestRequest
+					if dec.Decode(&req) != nil {
 						return
 					}
-					resp := legacyNearestResponse{Results: []Result{
-						{ID: fmt.Sprintf("echo-m%d", req.M), Label: req.M, Dist: float64(req.M)},
-					}}
-					if err := enc.Encode(&resp); err != nil {
+					resp := nearestResponse{ID: req.ID, Results: []Result{{ID: "v", Label: req.M}}}
+					if first {
+						resp.ID = badID(req)
+					}
+					if enc.Encode(&resp) != nil {
 						return
 					}
 				}
-			}(conn)
+			}(first)
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
 }
 
-func TestNewClientAgainstLegacyServer(t *testing.T) {
-	addr, stop := legacyNodeServer(t)
-	defer stop()
-	tr, err := DialNode(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	// Sequential calls: unnumbered replies FIFO-match trivially.
-	for _, m := range []int{2, 5, 9} {
-		rs, err := tr.Nearest([]float64{1}, m)
-		if err != nil {
-			t.Fatalf("m=%d: %v", m, err)
-		}
-		if len(rs) != 1 || rs[0].Label != m {
-			t.Fatalf("m=%d got %+v, want the echo for this call", m, rs)
-		}
-	}
-
-	// Concurrent calls over the single legacy connection: the server
-	// serializes, so unnumbered replies arrive in request order and the
-	// FIFO fallback must route each to its own caller.
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				rs, err := tr.Nearest([]float64{1}, m)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(rs) != 1 || rs[0].Label != m {
-					errs <- fmt.Errorf("caller m=%d received echo for m=%d: FIFO matching misrouted", m, rs[0].Label)
-					return
-				}
+// TestUnmatchedReplyFailsConnection: a reply whose ID matches no pending
+// call is a protocol error. The waiting call fails at once instead of
+// sitting out its deadline or taking someone else's reply, and the next
+// call redials.
+func TestUnmatchedReplyFailsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   func(req nearestRequest) uint64
+	}{
+		{"id0", func(nearestRequest) uint64 { return 0 }},
+		{"unknown", func(req nearestRequest) uint64 { return req.ID + 1000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, stop := misreplyingNode(t, tc.id)
+			defer stop()
+			const timeout = 30 * time.Second
+			tr, err := DialNodeConfig(addr, TCPConfig{Timeout: timeout})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(10 + w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if tr.Reconnects() != 0 {
-		t.Errorf("reconnects = %d, want 0 against a healthy legacy server", tr.Reconnects())
+			defer tr.Close()
+
+			start := time.Now() //duolint:allow walltime test bound on how promptly a protocol error surfaces; no result bit depends on it
+			if rs, err := tr.Nearest([]float64{1}, 3); err == nil {
+				t.Fatalf("mismatched reply was delivered: %+v", rs)
+			}
+			if took := time.Since(start); took > timeout/10 { //duolint:allow walltime test bound on how promptly a protocol error surfaces; no result bit depends on it
+				t.Errorf("error took %v, want well inside the %v call deadline", took, timeout)
+			}
+			if rs, err := tr.Nearest([]float64{1}, 4); err != nil || len(rs) != 1 || rs[0].Label != 4 {
+				t.Fatalf("call after redial = %+v, %v; want its own reply", rs, err)
+			}
+			// The node answers the probe like a scan, without a payload.
+			if _, err := tr.Stats(false); !errors.Is(err, ErrStatsUnsupported) {
+				t.Errorf("stats reply without a payload: err = %v, want ErrStatsUnsupported", err)
+			}
+			if got := tr.Reconnects(); got != 1 {
+				t.Errorf("reconnects = %d, want 1", got)
+			}
+		})
 	}
 }
