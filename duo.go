@@ -179,7 +179,8 @@ type System struct {
 }
 
 // NewSystem generates a corpus, trains the victim extractor with the
-// requested metric loss, and indexes the gallery.
+// requested metric loss, freezes it (models.Freeze), and indexes the
+// gallery.
 func NewSystem(opts SystemOptions) (*System, error) {
 	opts.applyDefaults()
 	corpus, err := dataset.Generate(dataset.Config{
@@ -214,6 +215,7 @@ func NewSystem(opts SystemOptions) (*System, error) {
 	if _, err := models.Train(m, loss, corpus.Train, tc); err != nil {
 		return nil, fmt.Errorf("duo: train victim: %w", err)
 	}
+	models.Freeze(m)
 
 	sys := &System{Corpus: corpus, M: opts.M, opts: opts, model: m, geom: geom}
 	switch {
@@ -309,7 +311,9 @@ type SurrogateOptions struct {
 }
 
 // StealSurrogate queries the victim to build a rank-list training set
-// (§IV-B-1) and fits a surrogate on it.
+// (§IV-B-1) and fits a surrogate on it. The surrogate comes back frozen
+// (models.Freeze): attacks backpropagate through it to pixels only, and
+// may share it across goroutines.
 func (s *System) StealSurrogate(opts SurrogateOptions) (Model, error) {
 	if opts.Arch == "" {
 		opts.Arch = "C3D"
@@ -347,6 +351,7 @@ func (s *System) StealSurrogate(opts SurrogateOptions) (Model, error) {
 	if _, err := surrogate.Train(m, samples, tcfg); err != nil {
 		return nil, err
 	}
+	models.Freeze(m)
 	return m, nil
 }
 

@@ -155,6 +155,20 @@ func TestStealSurrogateResnet(t *testing.T) {
 	}
 }
 
+// TestTrainedModelsAreFrozen checks that the victim NewSystem trains and
+// the surrogate StealSurrogate returns are frozen: attacks backpropagate
+// through them to pixels only, and retraining them is refused.
+func TestTrainedModelsAreFrozen(t *testing.T) {
+	sys, surr := sharedSystem(t)
+	for _, m := range []Model{sys.VictimModel(), surr} {
+		for _, p := range m.Params() {
+			if !p.Frozen() {
+				t.Fatalf("%s: parameter %s is not frozen", m.Name(), p.Name)
+			}
+		}
+	}
+}
+
 func TestAttackUntargeted(t *testing.T) {
 	sys, surr := sharedSystem(t)
 	v := sys.Corpus.Train[0]

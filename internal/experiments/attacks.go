@@ -10,6 +10,7 @@ import (
 	"duo/internal/dataset"
 	"duo/internal/metrics"
 	"duo/internal/models"
+	"duo/internal/parallel"
 	"duo/internal/retrieval"
 )
 
@@ -70,20 +71,30 @@ type CellStats struct {
 	Outcomes []*attack.Outcome
 }
 
-// runPairs executes an attack over all pairs in order and reduces the
-// outcomes into CellStats. The pairs share the cached surrogate, whose
-// backward pass accumulates into its parameter gradients, so they cannot
-// run concurrently. Each pair gets its own seeded RNG.
+// runPairs executes an attack over the pairs concurrently and reduces the
+// outcomes into CellStats in pair order. The victim engines are safe for
+// concurrent queries and the cached models are frozen; each pair gets its
+// own seeded RNG, so the result is bitwise that of a sequential run. Every
+// pair gets its own goroutine: a cell has a handful (Params.Pairs) of
+// unequal cost, which contiguous shards over the worker count would leave
+// unbalanced.
 func (s *Scenario) runPairs(victim retrieval.Retriever, pairs []dataset.AttackPair,
 	run func(ctx *attack.Context, pair dataset.AttackPair) (*attack.Outcome, error)) (*CellStats, error) {
-	cs := &CellStats{}
-	for pi, pair := range pairs {
-		rng := rand.New(rand.NewSource(s.Opts.Seed + int64(pi)*997))
-		ctx := &attack.Context{Victim: victim, M: s.P.M, Rng: rng, Telemetry: s.Opts.Telemetry}
-		out, err := run(ctx, pair)
-		if err != nil {
-			return nil, err
+	outs := make([]*attack.Outcome, len(pairs))
+	errs := make([]error, len(pairs))
+	parallel.ForN(len(pairs), len(pairs), func(_, ps, pe int) {
+		for pi := ps; pi < pe; pi++ {
+			rng := rand.New(rand.NewSource(s.Opts.Seed + int64(pi)*997))
+			ctx := &attack.Context{Victim: victim, M: s.P.M, Rng: rng, Telemetry: s.Opts.Telemetry}
+			outs[pi], errs[pi] = run(ctx, pairs[pi])
 		}
+	})
+	cs := &CellStats{}
+	for pi, out := range outs {
+		if errs[pi] != nil {
+			return nil, errs[pi]
+		}
+		pair := pairs[pi]
 		cs.APm += out.APAtM(victim, pair.Target, s.P.M) * 100
 		cs.Spa += float64(out.Spa())
 		cs.PScore += out.PScore()

@@ -113,7 +113,7 @@ func (s *Scenario) buildLoss(name string, rng *rand.Rand, classes int) (losses.M
 }
 
 // Victim returns (training on first use) a victim retrieval engine for the
-// dataset, backbone, and loss.
+// dataset, backbone, and loss. Its model is frozen once trained.
 func (s *Scenario) Victim(ds, arch, lossName string) (*retrieval.Engine, error) {
 	key := ds + "|" + arch + "|" + lossName
 	s.mu.Lock()
@@ -142,6 +142,7 @@ func (s *Scenario) Victim(ds, arch, lossName string) (*retrieval.Engine, error) 
 	if _, err := models.Train(m, loss, c.Train, tc); err != nil {
 		return nil, fmt.Errorf("experiments: train victim %s: %w", key, err)
 	}
+	models.Freeze(m)
 	eng := retrieval.NewEngine(m, c.Train)
 	eng.SetTelemetry(s.Opts.Telemetry)
 
@@ -152,7 +153,8 @@ func (s *Scenario) Victim(ds, arch, lossName string) (*retrieval.Engine, error) 
 }
 
 // Surrogate steals a surrogate of the given backbone against the victim,
-// capped at stealCap samples, with output feature size featDim.
+// capped at stealCap samples, with output feature size featDim. The cached
+// surrogate is frozen, so the pairs of a cell share it concurrently.
 func (s *Scenario) Surrogate(ds, victimArch, victimLoss, surrArch string, stealCap, featDim int) (models.Model, error) {
 	key := fmt.Sprintf("%s|%s|%s|%s|%d|%d", ds, victimArch, victimLoss, surrArch, stealCap, featDim)
 	s.mu.Lock()
@@ -189,6 +191,7 @@ func (s *Scenario) Surrogate(ds, victimArch, victimLoss, surrArch string, stealC
 	if _, err := surrogate.Train(m, samples, tcfg); err != nil {
 		return nil, fmt.Errorf("experiments: train surrogate %s: %w", key, err)
 	}
+	models.Freeze(m)
 
 	s.mu.Lock()
 	s.surrogates[key] = m

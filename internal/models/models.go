@@ -6,6 +6,7 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -35,7 +36,8 @@ type Model interface {
 	// Forward maps an [N,C,H,W] video tensor to a [FeatureDim] embedding.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, nn.Cache)
 	// Backward propagates an embedding gradient back to the input pixels,
-	// accumulating parameter gradients along the way.
+	// accumulating parameter gradients along the way unless the model is
+	// frozen (see Freeze).
 	Backward(c nn.Cache, grad *tensor.Tensor) *tensor.Tensor
 	// Params returns all trainable parameters.
 	Params() []*nn.Param
@@ -73,6 +75,29 @@ func Instrument(m Model, r *telemetry.Registry) Model {
 		return m
 	}
 	return &netModel{name: nm.name, dim: nm.dim, net: nn.Instrument(nm.net, r, "model."+nm.name)}
+}
+
+// ErrFrozen is returned by the training entry points for a frozen model.
+var ErrFrozen = errors.New("models: model is frozen")
+
+// Freeze marks every parameter of m frozen (a nil Grad, see nn.Param): a
+// model that is done training keeps backpropagating to its input pixels,
+// with the same bits, but no longer computes or stores weight gradients,
+// so goroutines can share it. A frozen model cannot be trained again.
+func Freeze(m Model) {
+	for _, p := range m.Params() {
+		p.Grad = nil
+	}
+}
+
+// Frozen reports whether any parameter of m is frozen.
+func Frozen(m Model) bool {
+	for _, p := range m.Params() {
+		if p.Frozen() {
+			return true
+		}
+	}
+	return false
 }
 
 // Embed runs a forward pass and returns only the embedding.

@@ -43,8 +43,12 @@ func DefaultTrainConfig() TrainConfig {
 }
 
 // Train fits m (and any loss parameters) to the labelled videos with the
-// given metric loss, returning the mean loss per epoch.
+// given metric loss, returning the mean loss per epoch. A frozen m is an
+// ErrFrozen error.
 func Train(m Model, loss losses.MetricLoss, vids []*video.Video, cfg TrainConfig) ([]float64, error) {
+	if Frozen(m) {
+		return nil, fmt.Errorf("models: train %s: %w", m.Name(), ErrFrozen)
+	}
 	if len(vids) == 0 {
 		return nil, fmt.Errorf("models: no training videos")
 	}
@@ -116,7 +120,8 @@ func Train(m Model, loss losses.MetricLoss, vids []*video.Video, cfg TrainConfig
 // Pretrain runs a classification pre-training stage — the analogue of the
 // Kinetics pre-training the paper's victim backbones ship with — by
 // fitting the model under a softmax cross-entropy head, then returns the
-// final training accuracy of that head.
+// final training accuracy of that head. A frozen m is an ErrFrozen error,
+// from Train.
 func Pretrain(m Model, vids []*video.Video, classes int, cfg TrainConfig) (float64, error) {
 	if classes < 2 {
 		return 0, fmt.Errorf("models: pretraining needs ≥2 classes, got %d", classes)

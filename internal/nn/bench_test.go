@@ -19,16 +19,29 @@ func BenchmarkConv3DForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv3DBackward measures the training backward (dx, W.Grad and
+// B.Grad) against the frozen one (dx only).
 func BenchmarkConv3DBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	l := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
-	x := tensor.RandNormal(rng, 0, 1, 3, 16, 16, 16)
-	y, cache := l.Forward(x)
-	g := tensor.RandNormal(rng, 0, 1, y.Shape()...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = l.Backward(cache, g)
+	for _, frozen := range []bool{false, true} {
+		name := "train"
+		if frozen {
+			name = "frozen"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			l := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
+			if frozen {
+				freeze(l)
+			}
+			x := tensor.RandNormal(rng, 0, 1, 3, 16, 16, 16)
+			y, cache := l.Forward(x)
+			g := tensor.RandNormal(rng, 0, 1, y.Shape()...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = l.Backward(cache, g)
+			}
+		})
 	}
 }
 

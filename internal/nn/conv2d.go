@@ -62,17 +62,17 @@ func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	}
 	out := tensor.New(d.F, d.Ho, d.Wo)
 	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
-	return out, &convCache{x: x.Clone()}
+	return out, newConvCache(l.W, x)
 }
 
-// Backward implements Layer: W.Grad and B.Grad accumulate, dx is returned,
-// all bitwise-identical at every worker count (see convDims).
+// Backward implements Layer: W.Grad and B.Grad accumulate unless frozen, dx
+// is returned, all bitwise-identical at every worker count (see convDims).
 func (l *Conv2D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.(*convCache).x
 	in := x.Shape()
 	d := l.dims(in)
 	dx := tensor.New(in...)
-	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.Grad.Data(), l.B.Grad.Data())
+	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.gradData(), l.B.gradData())
 	return dx
 }
 

@@ -129,7 +129,8 @@ func (l *LSTM) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return h, cache
 }
 
-// Backward implements Layer with full backpropagation through time.
+// Backward implements Layer with full backpropagation through time. A
+// frozen layer writes no weight or bias gradient.
 func (l *LSTM) Backward(cacheI Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	cache := cacheI.(*lstmCache)
 	T := len(cache.steps)
@@ -137,7 +138,7 @@ func (l *LSTM) Backward(cacheI Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(T, l.In)
 
 	wx, wh := l.Wx.Value.Data(), l.Wh.Value.Data()
-	gwx, gwh, gb := l.Wx.Grad.Data(), l.Wh.Grad.Data(), l.B.Grad.Data()
+	gwx, gwh, gb := l.Wx.gradData(), l.Wh.gradData(), l.B.gradData()
 
 	dh := gradOut.Clone().Data()
 	dc := make([]float64, H)
@@ -170,18 +171,22 @@ func (l *LSTM) Backward(cacheI Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 			if d == 0 {
 				continue
 			}
-			gb[row] += d
-			wxRow := wx[row*l.In : (row+1)*l.In]
-			gwxRow := gwx[row*l.In : (row+1)*l.In]
-			for k, xv := range st.x.Data() {
-				gwxRow[k] += d * xv
-				dxt[k] += d * wxRow[k]
+			if gb != nil {
+				gb[row] += d
+				gwxRow := gwx[row*l.In : (row+1)*l.In]
+				for k, xv := range st.x.Data() {
+					gwxRow[k] += d * xv
+				}
+				gwhRow := gwh[row*H : (row+1)*H]
+				for k, hv := range st.hPrev.Data() {
+					gwhRow[k] += d * hv
+				}
 			}
-			whRow := wh[row*H : (row+1)*H]
-			gwhRow := gwh[row*H : (row+1)*H]
-			for k, hv := range st.hPrev.Data() {
-				gwhRow[k] += d * hv
-				dhPrev[k] += d * whRow[k]
+			for k, wv := range wx[row*l.In : (row+1)*l.In] {
+				dxt[k] += d * wv
+			}
+			for k, wv := range wh[row*H : (row+1)*H] {
+				dhPrev[k] += d * wv
 			}
 		}
 		dh = dhPrev

@@ -19,6 +19,12 @@ import (
 type Cache interface{}
 
 // Param is a trainable tensor with its accumulated gradient.
+//
+// A Param whose Grad is nil is frozen: the layers that own it still
+// backpropagate to their input, with the same bits, but skip the
+// parameter-gradient work and write nothing into the Param. Frozen layers
+// hold no state a Backward writes, so any number of goroutines may run
+// Forward and Backward on them at once.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
@@ -33,12 +39,24 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // ZeroGrad resets the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
+// Frozen reports whether p accumulates no gradient (see Param).
+func (p *Param) Frozen() bool { return p.Grad == nil }
+
+// gradData is the gradient buffer Backward accumulates into, nil when p is
+// frozen.
+func (p *Param) gradData() []float64 {
+	if p.Frozen() {
+		return nil
+	}
+	return p.Grad.Data()
+}
+
 // Layer is a differentiable module.
 //
 // Forward computes the output for x and a cache for the backward pass.
 // Backward consumes that cache and the gradient of the loss with respect to
-// the layer output, accumulates parameter gradients, and returns the
-// gradient with respect to the layer input.
+// the layer output, accumulates the gradients of the parameters that are
+// not frozen, and returns the gradient with respect to the layer input.
 type Layer interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, Cache)
 	Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor

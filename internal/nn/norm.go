@@ -69,12 +69,13 @@ func (l *ChannelNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return out, &channelNormCache{inShape: x.Shape(), xhat: xhat, invStd: invStd}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A frozen layer writes no Gain or Bias
+// gradient.
 func (l *ChannelNorm) Backward(cacheI Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	cache := cacheI.(*channelNormCache)
 	dx := tensor.New(cache.inShape...)
 	g := l.Gain.Value.Data()
-	gg, gb := l.Gain.Grad.Data(), l.Bias.Grad.Data()
+	gg, gb := l.Gain.gradData(), l.Bias.gradData()
 	for c := 0; c < l.C; c++ {
 		dy := gradOut.Slice(c).Data()
 		xh := cache.xhat.Slice(c).Data()
@@ -83,8 +84,12 @@ func (l *ChannelNorm) Backward(cacheI Cache, gradOut *tensor.Tensor) *tensor.Ten
 		for i, d := range dy {
 			sumDy += d
 			sumDyXh += d * xh[i]
-			gg[c] += d * xh[i]
-			gb[c] += d
+		}
+		if gg != nil {
+			for i, d := range dy {
+				gg[c] += d * xh[i]
+				gb[c] += d
+			}
 		}
 		// dL/dx = g·invStd · (dy − mean(dy) − x̂·mean(dy·x̂)).
 		k := g[c] * cache.invStd[c]

@@ -136,8 +136,11 @@ func DefaultTrainConfig() TrainConfig {
 }
 
 // Train fits the surrogate to the stolen rank lists, returning the mean
-// loss per epoch.
+// loss per epoch. A frozen s is a models.ErrFrozen error.
 func Train(s models.Model, samples []Sample, cfg TrainConfig) ([]float64, error) {
+	if models.Frozen(s) {
+		return nil, fmt.Errorf("surrogate: train %s: %w", s.Name(), models.ErrFrozen)
+	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("surrogate: no training samples")
 	}

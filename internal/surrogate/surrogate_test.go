@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -116,6 +117,22 @@ func TestTrainEmptySamplesErrors(t *testing.T) {
 	s := models.NewC3D(rng, models.Geometry{Frames: 8, Channels: 3, Height: 12, Width: 12}, 8)
 	if _, err := Train(s, nil, DefaultTrainConfig()); err == nil {
 		t.Error("empty samples accepted")
+	}
+}
+
+func TestTrainRejectsFrozenModel(t *testing.T) {
+	c, err := dataset.Generate(dataset.Config{
+		Name: "FrozenSim", Categories: 2, TrainPerCategory: 2, TestPerCategory: 1,
+		Frames: 8, Channels: 3, Height: 12, Width: 12, Seed: 25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := models.NewC3D(rand.New(rand.NewSource(26)), models.GeometryOf(c.Train[0]), 8)
+	models.Freeze(s)
+	samples := []Sample{{Anchor: c.Test[0], Ranked: c.Train[:3]}}
+	if _, err := Train(s, samples, DefaultTrainConfig()); !errors.Is(err, models.ErrFrozen) {
+		t.Errorf("Train on a frozen surrogate: err = %v, want models.ErrFrozen", err)
 	}
 }
 
