@@ -65,7 +65,7 @@ func BenchmarkLinearForward(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardParallel measures the filter-sharded Conv3D forward
+// BenchmarkConvForwardParallel measures the row-sharded Conv3D forward
 // at several worker counts (workers=1 is the sequential path).
 func BenchmarkConvForwardParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))

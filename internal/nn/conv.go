@@ -6,7 +6,9 @@ import (
 )
 
 // parallelThreshold is the per-filter multiply-accumulate count above which
-// convolution passes fan out across workers. It is a var so tests can lower
+// convolution passes fan out across workers: the forward over output rows
+// (all filters of a row on one worker), the backward's weight pass over
+// filters and its dx pass over input rows. It is a var so tests can lower
 // it to force the parallel path on tiny layers.
 var parallelThreshold = 20000
 
@@ -14,12 +16,12 @@ var parallelThreshold = 20000
 // x[C,T,H,W], w[F,C,KT,KH,KW], out[F,To,Ho,Wo], zero padding. Conv2D is the
 // T = KT = ST = 1, PT = 0 case of the same kernels.
 //
-// Every kernel below runs its inner loop along one contiguous W row (the
-// forward pass over output columns, the gradient passes over the kw run one
-// non-zero g reaches) and keeps the order in which each single output, dx,
-// W.Grad and B.Grad element receives its terms fixed (DESIGN.md §9): the
-// bits depend on that per-element order, not on the order the elements are
-// visited in.
+// The forward kernel keeps four filters' outputs in registers and runs its
+// inner loop over the in-bounds kw run of one input row; the gradient
+// kernels run theirs over the kw run one non-zero g reaches. Every kernel
+// keeps the order in which each single output, dx, W.Grad and B.Grad
+// element receives its terms fixed (DESIGN.md §9): the bits depend on that
+// per-element order, not on the order the elements are visited in.
 type convDims struct {
 	C, F       int
 	T, H, W    int
@@ -53,74 +55,92 @@ func (d *convDims) workers() int {
 	return parallel.Workers()
 }
 
-// forward fills out = conv(x, w) + b, sharded over filters (output planes
-// are disjoint). Each out element is the bias plus its in-bounds taps in
-// ascending (c, kt, kh, kw) order.
+// forward fills out = conv(x, w) + b, sharded over the To·Ho output rows
+// (each row of every filter has one writer). Each out element is the bias
+// plus its in-bounds taps in ascending (c, kt, kh, kw) order.
 func (d *convDims) forward(x, w, b, out []float64) {
-	// Tap kw lands inside the input row for output columns [lo, hi):
-	// 0 ≤ wo·SW − PW + kw < W, first at input column x0.
-	cols := make([]tapCols, d.KW)
-	for kw := range cols {
-		lo, hi := 0, 0
-		if n := d.PW - kw; n > 0 {
-			lo = min((n+d.SW-1)/d.SW, d.Wo)
-		}
-		if n := d.W + d.PW - kw; n > 0 {
-			hi = min((n-1)/d.SW+1, d.Wo)
-		}
-		cols[kw] = tapCols{lo: lo, hi: max(hi, lo), x0: lo*d.SW - d.PW + kw}
+	rows := d.To * d.Ho
+	workers := d.workers()
+	if workers == 1 { // no closure, so no allocation
+		d.forwardRows(x, w, b, out, 0, rows)
+		return
 	}
-	parallel.ForN(d.workers(), d.F, func(_, fs, fe int) {
-		d.forwardFilters(x, w, b, out, cols, fs, fe)
+	dd := *d // the shards capture a copy, so d stays off the heap
+	parallel.ForN(workers, rows, func(_, rs, re int) {
+		dd.forwardRows(x, w, b, out, rs, re)
 	})
 }
 
-// tapCols is the span of output columns one kernel column contributes to,
-// and the input column its first contribution reads.
-type tapCols struct{ lo, hi, x0 int }
-
-// forwardFilters fills the output planes of filters [fs, fe) row by row: a
-// row starts as the bias and every in-bounds kernel row (c, kt, kh), in that
-// order, adds its taps kw ascending, each along its whole span of columns.
+// forwardRows fills the output rows (to, ho) for the positions [rs, re) of
+// the To·Ho output rows, four filters at a time: each output element of the
+// four is accumulated in a register, from its bias through its in-bounds
+// taps in (c, kt, kh, kw) order, so every x load feeds four independent add
+// chains. A short last block (F mod 4 ≠ 0) points its empty lanes at the
+// last filter and discards their results.
 //
 //duolint:hot
-func (d *convDims) forwardFilters(x, w, b, out []float64, cols []tapCols, fs, fe int) {
+func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
 	xsH := d.W
 	xsT := d.H * xsH
 	xsC := d.T * xsT
 	wsT := d.KH * d.KW
 	wsC := d.KT * wsT
 	wsF := d.C * wsC
-	sw := d.SW
-	for f := fs; f < fe; f++ {
-		wf := w[f*wsF : (f+1)*wsF]
-		oi := f * d.To * d.Ho * d.Wo
-		for to := 0; to < d.To; to++ {
-			t0 := to*d.ST - d.PT
-			ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
-			for ho := 0; ho < d.Ho; ho++ {
-				h0 := ho*d.SH - d.PH
-				khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
-				orow := out[oi : oi+d.Wo]
-				oi += d.Wo
-				for wo := range orow {
-					orow[wo] = b[f]
-				}
-				for c := 0; c < d.C; c++ {
-					for kt := ktLo; kt < ktHi; kt++ {
-						for kh := khLo; kh < khHi; kh++ {
-							xrow := x[c*xsC+(t0+kt)*xsT+(h0+kh)*xsH:][:d.W]
-							wrow := wf[c*wsC+kt*wsT+kh*d.KW:][:d.KW]
-							for kw, tc := range cols {
-								wv, xi := wrow[kw], tc.x0
-								os := orow[tc.lo:tc.hi]
-								for wo := range os {
-									os[wo] += xrow[xi] * wv
-									xi += sw
-								}
+	plane := d.To * d.Ho * d.Wo
+	last := d.F - 1
+	for r := rs; r < re; r++ {
+		t0 := r/d.Ho*d.ST - d.PT
+		h0 := r%d.Ho*d.SH - d.PH
+		ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
+		khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
+		for f := 0; f < d.F; f += 4 {
+			f1, f2, f3 := min(f+1, last), min(f+2, last), min(f+3, last)
+			w0, w1, w2, w3 := w[f*wsF:][:wsF], w[f1*wsF:][:wsF], w[f2*wsF:][:wsF], w[f3*wsF:][:wsF]
+			orow := out[f*plane+r*d.Wo:][:d.Wo]
+			for wo := range orow {
+				x0 := wo*d.SW - d.PW
+				kwLo, kwHi := max(0, -x0), min(d.KW, d.W-x0)
+				a0, a1, a2, a3 := b[f], b[f1], b[f2], b[f3]
+				xc, wc := (t0+ktLo)*xsT+(h0+khLo)*xsH+x0+kwLo, ktLo*wsT+khLo*d.KW+kwLo
+				for c := 0; c < d.C; c, xc, wc = c+1, xc+xsC, wc+wsC {
+					for kt, xt, wt := ktLo, xc, wc; kt < ktHi; kt, xt, wt = kt+1, xt+xsT, wt+wsT {
+						for kh, xi, wi := khLo, xt, wt; kh < khHi; kh, xi, wi = kh+1, xi+xsH, wi+d.KW {
+							if kwHi-kwLo == 3 {
+								xs := x[xi : xi+3]
+								p0, p1, p2, p3 := w0[wi:wi+3], w1[wi:wi+3], w2[wi:wi+3], w3[wi:wi+3]
+								a0 += xs[0] * p0[0]
+								a1 += xs[0] * p1[0]
+								a2 += xs[0] * p2[0]
+								a3 += xs[0] * p3[0]
+								a0 += xs[1] * p0[1]
+								a1 += xs[1] * p1[1]
+								a2 += xs[1] * p2[1]
+								a3 += xs[1] * p3[1]
+								a0 += xs[2] * p0[2]
+								a1 += xs[2] * p1[2]
+								a2 += xs[2] * p2[2]
+								a3 += xs[2] * p3[2]
+								continue
+							}
+							for k := 0; k < kwHi-kwLo; k++ {
+								xv := x[xi+k]
+								a0 += xv * w0[wi+k]
+								a1 += xv * w1[wi+k]
+								a2 += xv * w2[wi+k]
+								a3 += xv * w3[wi+k]
 							}
 						}
 					}
+				}
+				orow[wo] = a0
+				if f+1 <= last {
+					out[f1*plane+r*d.Wo+wo] = a1
+				}
+				if f+2 <= last {
+					out[f2*plane+r*d.Wo+wo] = a2
+				}
+				if f+3 <= last {
+					out[f3*plane+r*d.Wo+wo] = a3
 				}
 			}
 		}

@@ -38,15 +38,17 @@ func (l *Conv2D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KH, l.SH, l.PH), outDim(in[2], l.KW, l.SW, l.PW)}
 }
 
-// dims views the layer as a one-frame 3-D convolution with a 1×KH×KW kernel.
-func (l *Conv2D) dims(in []int) convDims {
+// dims views the layer, on input x, as a one-frame 3-D convolution with a
+// 1×KH×KW kernel.
+func (l *Conv2D) dims(x *tensor.Tensor) convDims {
+	h, w := x.Dim(1), x.Dim(2)
 	return convDims{
 		C: l.InC, F: l.OutC,
-		T: 1, H: in[1], W: in[2],
+		T: 1, H: h, W: w,
 		KT: 1, KH: l.KH, KW: l.KW,
 		ST: 1, SH: l.SH, SW: l.SW,
 		PH: l.PH, PW: l.PW,
-		To: 1, Ho: outDim(in[1], l.KH, l.SH, l.PH), Wo: outDim(in[2], l.KW, l.SW, l.PW),
+		To: 1, Ho: outDim(h, l.KH, l.SH, l.PH), Wo: outDim(w, l.KW, l.SW, l.PW),
 	}
 }
 
@@ -56,7 +58,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if x.Rank() != 3 || x.Dim(0) != l.InC {
 		panic(fmt.Sprintf("nn: Conv2D(in=%d) got input shape %v", l.InC, x.Shape()))
 	}
-	d := l.dims(x.Shape())
+	d := l.dims(x)
 	if d.Ho <= 0 || d.Wo <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D produces empty output for input %v", x.Shape()))
 	}
@@ -69,9 +71,8 @@ func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 // is returned, all bitwise-identical at every worker count (see convDims).
 func (l *Conv2D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.(*convCache).x
-	in := x.Shape()
-	d := l.dims(in)
-	dx := tensor.New(in...)
+	d := l.dims(x)
+	dx := tensor.New(x.Shape()...)
 	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.gradData(), l.B.gradData())
 	return dx
 }

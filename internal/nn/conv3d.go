@@ -46,14 +46,16 @@ func (l *Conv3D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KT, l.ST, l.PT), outDim(in[2], l.KH, l.SH, l.PH), outDim(in[3], l.KW, l.SW, l.PW)}
 }
 
-func (l *Conv3D) dims(in []int) convDims {
+// dims is the layer's geometry on input x.
+func (l *Conv3D) dims(x *tensor.Tensor) convDims {
+	t, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	return convDims{
 		C: l.InC, F: l.OutC,
-		T: in[1], H: in[2], W: in[3],
+		T: t, H: h, W: w,
 		KT: l.KT, KH: l.KH, KW: l.KW,
 		ST: l.ST, SH: l.SH, SW: l.SW,
 		PT: l.PT, PH: l.PH, PW: l.PW,
-		To: outDim(in[1], l.KT, l.ST, l.PT), Ho: outDim(in[2], l.KH, l.SH, l.PH), Wo: outDim(in[3], l.KW, l.SW, l.PW),
+		To: outDim(t, l.KT, l.ST, l.PT), Ho: outDim(h, l.KH, l.SH, l.PH), Wo: outDim(w, l.KW, l.SW, l.PW),
 	}
 }
 
@@ -63,7 +65,7 @@ func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if x.Rank() != 4 || x.Dim(0) != l.InC {
 		panic(fmt.Sprintf("nn: Conv3D(in=%d) got input shape %v", l.InC, x.Shape()))
 	}
-	d := l.dims(x.Shape())
+	d := l.dims(x)
 	if d.To <= 0 || d.Ho <= 0 || d.Wo <= 0 {
 		panic(fmt.Sprintf("nn: Conv3D produces empty output for input %v", x.Shape()))
 	}
@@ -76,9 +78,8 @@ func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 // is returned, all bitwise-identical at every worker count (see convDims).
 func (l *Conv3D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.(*convCache).x
-	in := x.Shape()
-	d := l.dims(in)
-	dx := tensor.New(in...)
+	d := l.dims(x)
+	dx := tensor.New(x.Shape()...)
 	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.gradData(), l.B.gradData())
 	return dx
 }

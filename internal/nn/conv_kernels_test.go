@@ -172,6 +172,19 @@ var convShapes = []convShape{
 	// ... and taps whose first in-bounds column lies beyond the output row
 	// (found by the fuzzer)
 	{C: 2, F: 3, T: 6, H: 4, W: 1, KT: 3, KH: 2, KW: 5, ST: 3, SH: 2, SW: 1, PT: 0, PH: 1, PW: 2},
+	// the benchmark's layers at full size (16×3×16×16 clips): C3D conv1 and
+	// conv2, SlowFast's slow and fast pathways, a ResNet block's 2-D conv
+	{C: 3, F: 6, T: 16, H: 16, W: 16, KT: 3, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1},
+	{C: 6, F: 12, T: 16, H: 8, W: 8, KT: 3, KH: 3, KW: 3, ST: 2, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1},
+	{C: 3, F: 12, T: 4, H: 16, W: 16, KT: 1, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 0, PH: 1, PW: 1},
+	{C: 3, F: 3, T: 16, H: 16, W: 16, KT: 3, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1},
+	{C: 6, F: 6, T: 1, H: 8, W: 8, KT: 1, KH: 3, KW: 3, ST: 1, SH: 1, SW: 1, PT: 0, PH: 1, PW: 1},
+	// F = 5 … 9: every remainder of a four-filter block, and two blocks
+	{C: 2, F: 5, T: 3, H: 5, W: 6, KT: 3, KH: 3, KW: 3, ST: 1, SH: 1, SW: 1, PT: 1, PH: 1, PW: 1},
+	{C: 3, F: 6, T: 1, H: 6, W: 7, KT: 1, KH: 3, KW: 3, ST: 1, SH: 1, SW: 2, PT: 0, PH: 1, PW: 1},
+	{C: 2, F: 7, T: 4, H: 5, W: 5, KT: 2, KH: 3, KW: 5, ST: 2, SH: 1, SW: 1, PT: 0, PH: 1, PW: 2},
+	{C: 1, F: 8, T: 2, H: 4, W: 9, KT: 1, KH: 2, KW: 3, ST: 1, SH: 2, SW: 3, PT: 0, PH: 0, PW: 1},
+	{C: 2, F: 9, T: 3, H: 4, W: 4, KT: 3, KH: 3, KW: 3, ST: 1, SH: 1, SW: 1, PT: 2, PH: 2, PW: 2},
 }
 
 // randomConvShape draws a small valid shape.
@@ -188,6 +201,15 @@ func randomConvShape(rng *rand.Rand) convShape {
 			return s
 		}
 	}
+}
+
+// randomWideConvShape draws a small valid shape with up to 6 channels and
+// 13 filters, so the forward's four-filter blocks come in every count and
+// remainder.
+func randomWideConvShape(rng *rand.Rand) convShape {
+	s := randomConvShape(rng)
+	s.C, s.F = 1+rng.Intn(6), 1+rng.Intn(13)
+	return s
 }
 
 // expectSameBits fails on the first element whose IEEE-754 bits differ.
@@ -216,7 +238,7 @@ func checkConvKernels(t *testing.T, s convShape, seed int64) {
 	l3 := NewConv3DFull(rng, s.C, s.F, [3]int{s.KT, s.KH, s.KW}, [3]int{s.ST, s.SH, s.SW}, [3]int{s.PT, s.PH, s.PW})
 	l3.B.Value = tensor.RandNormal(rng, 0, 1, s.F)
 	x3 := tensor.RandNormal(rng, 0, 1, s.C, s.T, s.H, s.W)
-	d := l3.dims(x3.Shape())
+	d := l3.dims(x3)
 	g3 := tensor.RandNormal(rng, 0, 1, s.F, d.To, d.Ho, d.Wo)
 	sparsifyGrad(rng, g3)
 	wg0 := tensor.RandNormal(rng, 0, 1, l3.W.Grad.Shape()...)
@@ -278,6 +300,10 @@ func TestConvKernelsMatchReference(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		checkConvKernels(t, randomConvShape(rng), int64(2000+i))
 	}
+	rng = rand.New(rand.NewSource(78))
+	for i := 0; i < 100; i++ {
+		checkConvKernels(t, randomWideConvShape(rng), int64(3000+i))
+	}
 }
 
 // FuzzConvKernelsMatchReference lets the fuzzer pick the geometry; the
@@ -321,5 +347,33 @@ func TestConvBackwardHonoursParallelThreshold(t *testing.T) {
 	big := convDims{C: 3, F: 8, T: 16, H: 16, W: 16, KT: 3, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1, To: 16, Ho: 8, Wo: 8}
 	if got := big.workers(); got != 4 {
 		t.Errorf("benchmark-sized layer fans out over %d workers, want 4", got)
+	}
+}
+
+// TestConvForwardAllocs pins that a frozen convolution's Forward, on one
+// worker, allocates its output tensor and its cache and nothing else: the
+// kernel keeps no per-call tables, packed weights or scratch.
+func TestConvForwardAllocs(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(61))
+	c3 := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
+	c2 := NewConv2D(rng, 6, 6, 3, 1)
+	freeze(c3)
+	freeze(c2)
+	x3 := tensor.RandNormal(rng, 0, 1, 3, 16, 16, 16)
+	x2 := tensor.RandNormal(rng, 0, 1, 6, 8, 8)
+	for _, tc := range []struct {
+		name   string
+		run    func()
+		output func()
+	}{
+		{"conv3d", func() { c3.Forward(x3) }, func() { tensor.New(6, 16, 8, 8) }},
+		{"conv2d", func() { c2.Forward(x2) }, func() { tensor.New(6, 8, 8) }},
+	} {
+		want := testing.AllocsPerRun(20, tc.output) + 1 // + the cache
+		if got := testing.AllocsPerRun(20, tc.run); got != want {
+			t.Errorf("%s: frozen Forward allocates %v times per call, want %v (output tensor + cache)", tc.name, got, want)
+		}
 	}
 }
