@@ -6,7 +6,7 @@ package main
 // gallery at 1×/10×/100× scale, reports recall@10 against the exact scan,
 // times the cold-start load of a persisted PQ index, and writes the whole
 // report to BENCH_pq.json — the only PQ number on file until bench/ grows a
-// serve_pq workload (ROADMAP item 1(b)).
+// serve_pq workload (ROADMAP item 3's second [benchmark] change).
 
 import (
 	"encoding/json"
@@ -246,7 +246,7 @@ func pqBenchScale(scale int, tmpDir string) (pqBenchRow, error) {
 	row.IndexBytes = st.Size()
 	load := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix, err := retrieval.OpenPQIndexFile(path)
+			ix, err := retrieval.OpenIndexFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}

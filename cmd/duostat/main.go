@@ -23,7 +23,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,6 +34,7 @@ import (
 	"strings"
 	"time"
 
+	"duo/internal/diffview"
 	"duo/internal/retrieval"
 	"duo/internal/telemetry"
 	"duo/internal/telemetry/slo"
@@ -342,12 +342,7 @@ func watchFleet(w io.Writer, arg string, interval time.Duration, count int, ev *
 // fingerprint hashes a view's canonical JSON re-encoding, so two files
 // that differ only in formatting still compare equal.
 func fingerprint(v *retrieval.FleetView) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "unhashable: " + err.Error()
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%x", sum[:12])
+	return diffview.Fingerprint(json.Marshal(v))
 }
 
 // diffViews mirrors `duotrace diff` for fleet views: identical
@@ -363,67 +358,26 @@ func diffViews(w io.Writer, names [2]string, vs [2]*retrieval.FleetView) {
 	fmt.Fprintf(w, "fleet views differ: %s (%d/%d nodes) vs %s (%d/%d nodes)\n",
 		fa, vs[0].Reachable, vs[0].Nodes, fb, vs[1].Reachable, vs[1].Nodes)
 
-	ca, cb := fleetCounters(vs[0]), fleetCounters(vs[1])
-	all := map[string]bool{}
-	for k := range ca {
-		all[k] = true
-	}
-	for k := range cb {
-		all[k] = true
+	var counters, hists [2]map[string]int64
+	for i, v := range vs {
+		counters[i], hists[i] = map[string]int64{}, map[string]int64{}
+		if v.Fleet != nil {
+			counters[i] = v.Fleet.Counters
+			for k, h := range v.Fleet.Histograms {
+				hists[i][k] = h.Count
+			}
+		}
 	}
 	fmt.Fprintf(w, "\nfleet counters: value (%s → %s)\n", names[0], names[1])
-	keys := make([]string, 0, len(all))
-	for k := range all {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		marker := " "
-		if ca[k] != cb[k] {
-			marker = "*"
-		}
-		fmt.Fprintf(w, "%s %-36s %d → %d\n", marker, k, ca[k], cb[k])
-	}
-
-	ha, hb := fleetHists(vs[0]), fleetHists(vs[1])
-	for k := range hb {
-		all[k] = true
-	}
-	var hkeys []string
-	for k := range ha {
-		hkeys = append(hkeys, k)
-	}
-	for k := range hb {
-		if _, ok := ha[k]; !ok {
-			hkeys = append(hkeys, k)
-		}
-	}
-	if len(hkeys) > 0 {
-		sort.Strings(hkeys)
+	diffview.Rows(w, 36, counters[0], counters[1], func(a, b int64) string {
+		return fmt.Sprintf("%d → %d", a, b)
+	})
+	if len(hists[0])+len(hists[1]) > 0 {
 		fmt.Fprintf(w, "\nfleet histograms: count (a → b)\n")
-		for _, k := range hkeys {
-			a, b := ha[k], hb[k]
-			marker := " "
-			if a.Count != b.Count {
-				marker = "*"
-			}
-			fmt.Fprintf(w, "%s %-36s ×%d → ×%d\n", marker, k, a.Count, b.Count)
-		}
+		diffview.Rows(w, 36, hists[0], hists[1], func(a, b int64) string {
+			return fmt.Sprintf("×%d → ×%d", a, b)
+		})
 	}
-}
-
-func fleetCounters(v *retrieval.FleetView) map[string]int64 {
-	if v.Fleet == nil {
-		return map[string]int64{}
-	}
-	return v.Fleet.Counters
-}
-
-func fleetHists(v *retrieval.FleetView) map[string]telemetry.HistogramStats {
-	if v.Fleet == nil {
-		return map[string]telemetry.HistogramStats{}
-	}
-	return v.Fleet.Histograms
 }
 
 // flightLine is one JSONL record in a -record dump.

@@ -18,12 +18,13 @@
 package main
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 
+	"duo/internal/diffview"
 	"duo/internal/trace"
 )
 
@@ -114,11 +115,9 @@ func dur(r trace.Record) int64 { return r.End - r.Start }
 // fingerprint hashes the canonical re-encoding of the span dump; two runs
 // with identical trees (the workers=1 vs workers=4 contract) match here.
 func fingerprint(t *traceTree) string {
-	h := sha256.New()
-	if err := trace.WriteRecords(h, t.recs); err != nil {
-		return "unhashable: " + err.Error()
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+	var buf bytes.Buffer
+	err := trace.WriteRecords(&buf, t.recs)
+	return diffview.Fingerprint(buf.Bytes(), err)
 }
 
 // stageStat is one row of the per-stage rollup.
@@ -285,25 +284,10 @@ func diff(w io.Writer, names [2]string, ts [2]*traceTree) {
 	}
 	fmt.Fprintf(w, "traces differ: %s (%d spans) vs %s (%d spans)\n", fa, len(ts[0].recs), fb, len(ts[1].recs))
 
-	sa, sb := stageRollup(ts[0]), stageRollup(ts[1])
-	all := make(map[string]stageStat, len(sa)+len(sb))
-	for n, s := range sa {
-		all[n] = s
-	}
-	for n, s := range sb {
-		if _, ok := all[n]; !ok {
-			all[n] = s
-		}
-	}
 	fmt.Fprintf(w, "\nper-stage: count (a→b), total extent (a→b)\n")
-	for _, n := range sortedNames(all) {
-		a, b := sa[n], sb[n]
-		marker := " "
-		if a != b {
-			marker = "*"
-		}
-		fmt.Fprintf(w, "%s %-18s ×%d→×%d  total %d→%d\n", marker, n, a.count, b.count, a.total, b.total)
-	}
+	diffview.Rows(w, 18, stageRollup(ts[0]), stageRollup(ts[1]), func(a, b stageStat) string {
+		return fmt.Sprintf("×%d→×%d  total %d→%d", a.count, b.count, a.total, b.total)
+	})
 
 	for i := range ts {
 		for _, root := range ts[i].roots {

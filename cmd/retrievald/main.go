@@ -130,34 +130,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				mine = append(mine, v)
 			}
 		}
-		var (
-			nodeIdx  retrieval.GalleryIndex
-			fromDisk bool
-		)
-		switch *engine {
-		case "exact":
-			shardIdx, loaded, err := loadOrBuildShard(*idxFile, sys, mine)
-			if err != nil {
-				return err
-			}
-			shardIdx.SetTelemetry(reg)
-			nodeIdx, fromDisk = shardIdx, loaded
-		case "pq":
-			pqIdx, loaded, err := loadOrBuildPQ(*idxFile, sys, mine, retrieval.PQConfig{
-				Subspaces:   *pqSub,
-				Centroids:   *pqCent,
-				Seed:        *seed,
-				RerankDepth: *pqRerank,
-			})
-			if err != nil {
-				return err
-			}
-			pqIdx.SetTelemetry(reg)
-			defer pqIdx.Close()
-			nodeIdx, fromDisk = pqIdx, loaded
-		default:
+		if *engine != "exact" && *engine != "pq" {
 			return fmt.Errorf("unknown -engine %q (want exact or pq)", *engine)
 		}
+		nodeIdx, fromDisk, err := loadOrBuildIndex(*idxFile, *engine, sys, mine, retrieval.PQConfig{
+			Subspaces:   *pqSub,
+			Centroids:   *pqCent,
+			Seed:        *seed,
+			RerankDepth: *pqRerank,
+		})
+		if err != nil {
+			return err
+		}
+		nodeIdx.SetTelemetry(reg)
+		defer nodeIdx.Close()
 		if fromDisk {
 			fmt.Fprintf(stdout, "loaded %s feature index from %s\n", *engine, *idxFile)
 		} else if *idxFile != "" {
@@ -334,60 +320,42 @@ func parsePolicy(s string) (retrieval.Policy, error) {
 	}
 }
 
-// loadOrBuildShard reuses a persisted feature index when available (the
-// expensive part of node startup is feature extraction), otherwise builds
-// the shard and persists it if a path was given.
-//
-// A missing file means "build"; any other open failure (permissions, I/O)
-// is reported rather than silently triggering an expensive rebuild over a
-// file we could not even look at. A file that opens but fails to decode is
-// treated as corrupt: the node warns and rebuilds, overwriting it.
-func loadOrBuildShard(path string, sys *duo.System, mine []*duo.Video) (*retrieval.Shard, bool, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		switch {
-		case err == nil:
-			shard, rerr := retrieval.ReadShard(f)
-			f.Close()
-			if rerr == nil {
-				return shard, true, nil
-			}
-			fmt.Fprintf(os.Stderr, "retrievald: index %s is corrupt (%v); rebuilding\n", path, rerr)
-		case !errors.Is(err, os.ErrNotExist):
-			return nil, false, fmt.Errorf("open index %s: %w", path, err)
-		}
+// engineOf names the -engine that serves idx.
+func engineOf(idx retrieval.LoadedIndex) string {
+	if _, ok := idx.(*retrieval.PQIndex); ok {
+		return "pq"
 	}
-	shard := retrieval.NewShard(sys.VictimModel(), mine)
-	if path != "" {
-		if err := writeIndexAtomic(path, shard.WriteIndex); err != nil {
-			return nil, false, err
-		}
-	}
-	return shard, false, nil
+	return "exact"
 }
 
-// loadOrBuildPQ is loadOrBuildShard for the product-quantized engine: it
-// reuses a persisted PQ index (memory-mapped read-only, so cold starts
-// skip both feature extraction and codebook training), otherwise embeds
-// the shard, trains the index, and persists it if a path was given.
+// loadOrBuildIndex reuses a persisted feature index when available (the
+// expensive part of node startup is feature extraction, and for pq also
+// codebook training), otherwise builds the -engine's index over mine and
+// persists it if a path was given. A loaded index is memory-mapped
+// read-only.
 //
-// A missing file means "build". A file that fails the format's typed
-// validation (truncated, corrupt, wrong version, not a PQ index) is
-// reported and rebuilt, overwriting it — same contract as the exact
-// engine's gob index.
-func loadOrBuildPQ(path string, sys *duo.System, mine []*duo.Video, cfg retrieval.PQConfig) (*retrieval.PQIndex, bool, error) {
+// A missing file means "build". Any other open failure (permissions, I/O)
+// is reported rather than silently triggering an expensive rebuild over a
+// file we could not even look at. A file that is unusable — it fails the
+// format's typed validation (truncated, corrupt, another version, not an
+// index file) or holds the other engine's index — is reported and rebuilt,
+// overwriting it.
+func loadOrBuildIndex(path, engine string, sys *duo.System, mine []*duo.Video, cfg retrieval.PQConfig) (retrieval.LoadedIndex, bool, error) {
 	if path != "" {
-		idx, err := retrieval.OpenPQIndexFile(path)
+		idx, err := retrieval.OpenIndexFile(path)
 		switch {
-		case err == nil:
+		case err == nil && engineOf(idx) == engine:
 			return idx, true, nil
+		case err == nil:
+			idx.Close()
+			fmt.Fprintf(os.Stderr, "retrievald: index %s was built for -engine %s, not %s; rebuilding\n", path, engineOf(idx), engine)
 		case errors.Is(err, retrieval.ErrIndexMagic),
 			errors.Is(err, retrieval.ErrIndexVersion),
 			errors.Is(err, retrieval.ErrIndexTruncated),
 			errors.Is(err, retrieval.ErrIndexCorrupt):
-			fmt.Fprintf(os.Stderr, "retrievald: pq index %s unusable (%v); rebuilding\n", path, err)
+			fmt.Fprintf(os.Stderr, "retrievald: unusable index (%v); rebuilding\n", err)
 		case !errors.Is(err, os.ErrNotExist):
-			return nil, false, fmt.Errorf("open pq index %s: %w", path, err)
+			return nil, false, fmt.Errorf("open index %s: %w", path, err)
 		}
 	}
 	model := sys.VictimModel()
@@ -395,16 +363,16 @@ func loadOrBuildPQ(path string, sys *duo.System, mine []*duo.Video, cfg retrieva
 	labels := make([]int, len(mine))
 	feats := make([]*tensor.Tensor, len(mine))
 	for i, v := range mine {
-		ids[i] = v.ID
-		labels[i] = v.Label
-		feats[i] = models.Embed(model, v)
+		ids[i], labels[i], feats[i] = v.ID, v.Label, models.Embed(model, v)
 	}
-	if cfg.Centroids > len(mine) {
-		cfg.Centroids = len(mine)
-	}
-	idx, err := retrieval.NewPQIndex(ids, labels, feats, cfg)
-	if err != nil {
-		return nil, false, err
+	var idx retrieval.LoadedIndex = retrieval.NewShardFromFeatures(ids, labels, feats)
+	if engine == "pq" {
+		cfg.Centroids = min(cfg.Centroids, len(mine))
+		pq, err := retrieval.NewPQIndex(ids, labels, feats, cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		idx = pq
 	}
 	if path != "" {
 		if err := writeIndexAtomic(path, idx.WriteIndex); err != nil {
@@ -417,7 +385,7 @@ func loadOrBuildPQ(path string, sys *duo.System, mine []*duo.Video, cfg retrieva
 // writeIndexAtomic persists an index via temp file + rename so a crash
 // mid-write can never leave a truncated index that poisons the next
 // startup: readers see either the old file or the complete new one. write
-// is the index's encoder (Shard.WriteIndex, PQIndex.WriteIndex, ...).
+// is the index's encoder (Shard.WriteIndex or PQIndex.WriteIndex).
 func writeIndexAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

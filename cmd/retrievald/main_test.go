@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"expvar"
 	"io"
@@ -246,105 +247,92 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestLoadOrBuildShardCorruptIndexRebuilds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "shard.idx")
-	// A truncated/garbage index (e.g. a crash mid-write under the old
-	// non-atomic persist) must warn and rebuild, not fail or load garbage.
-	if err := os.WriteFile(path, []byte("not a gob index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	shard, fromDisk, err := loadOrBuildShard(path, sys, sys.Corpus.Train[:3])
-	if err != nil {
-		t.Fatalf("corrupt index was not rebuilt: %v", err)
-	}
-	if fromDisk {
-		t.Error("corrupt index reported as loaded from disk")
-	}
-	if shard.Size() != 3 {
-		t.Errorf("rebuilt shard has %d entries, want 3", shard.Size())
-	}
-	// The rebuild overwrote the corrupt file atomically: it now loads.
-	loaded, fromDisk, err := loadOrBuildShard(path, sys, nil)
-	if err != nil || !fromDisk {
-		t.Fatalf("repaired index did not load: fromDisk=%v, err=%v", fromDisk, err)
-	}
-	if loaded.Size() != 3 {
-		t.Errorf("repaired index has %d entries, want 3", loaded.Size())
-	}
-	// Atomic persist leaves no temp droppings behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("index dir has stray files: %v", names)
-	}
-}
-
-func TestLoadOrBuildShardReportsUnreadablePath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A path under a regular file fails with ENOTDIR — an environment
-	// problem, which must be reported, not conflated with "missing index,
-	// rebuild silently".
-	blocker := filepath.Join(t.TempDir(), "blocker")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadOrBuildShard(filepath.Join(blocker, "shard.idx"), sys, sys.Corpus.Train[:2]); err == nil {
-		t.Error("unreadable index path did not surface an error")
-	}
-}
-
-func TestLoadOrBuildShardRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/shard.idx"
-	built, fromDisk, err := loadOrBuildShard(path, sys, sys.Corpus.Train[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromDisk {
-		t.Error("first call should build, not load")
-	}
-	loaded, fromDisk, err := loadOrBuildShard(path, sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromDisk {
-		t.Error("second call should load from disk")
-	}
-	if loaded.Size() != built.Size() {
-		t.Errorf("sizes differ: %d vs %d", loaded.Size(), built.Size())
-	}
-}
-
 func testPQConfig() retrieval.PQConfig {
 	return retrieval.PQConfig{Subspaces: 4, Centroids: 4, KMeansIters: 10, Seed: 2, RerankDepth: 8}
 }
 
-func TestLoadOrBuildPQRoundTrip(t *testing.T) {
+// loadOrBuildCases is the load-or-rebuild contract, one table for both
+// engines. prepare puts the case's file (or obstacle) under dir and
+// returns the -indexfile path; every case but a hard failure must come
+// back with a 4-entry index of the asked engine, loaded from disk exactly
+// when wantLoaded, leave a file that the next call loads, and leave no
+// temp droppings.
+var loadOrBuildCases = map[string]struct {
+	prepare    func(t *testing.T, dir, engine string, sys *duo.System) string
+	wantErr    bool
+	wantLoaded bool
+}{
+	"missing file builds": {
+		prepare: func(t *testing.T, dir, _ string, _ *duo.System) string { return filepath.Join(dir, "idx") },
+	},
+	"corrupt file rebuilds": {
+		// A garbage index (e.g. a crash mid-write under a non-atomic
+		// persist) must warn and rebuild, not fail or load garbage.
+		prepare: func(t *testing.T, dir, _ string, _ *duo.System) string {
+			return writeTestFile(t, filepath.Join(dir, "idx"), []byte("not an index"))
+		},
+	},
+	"unreadable path hard-fails": {
+		// A path under a regular file fails with ENOTDIR — an environment
+		// problem, which must be reported, not conflated with "missing
+		// index, rebuild silently".
+		prepare: func(t *testing.T, dir, _ string, _ *duo.System) string {
+			return filepath.Join(writeTestFile(t, filepath.Join(dir, "blocker"), []byte("x")), "idx")
+		},
+		wantErr: true,
+	},
+	"round trip loads": {
+		prepare: func(t *testing.T, dir, engine string, sys *duo.System) string {
+			return buildTestIndex(t, filepath.Join(dir, "idx"), engine, sys)
+		},
+		wantLoaded: true,
+	},
+	"kind mismatch rebuilds": {
+		// A valid index of the other engine is as unusable as a corrupt one.
+		prepare: func(t *testing.T, dir, engine string, sys *duo.System) string {
+			other := map[string]string{"exact": "pq", "pq": "exact"}[engine]
+			return buildTestIndex(t, filepath.Join(dir, "idx"), other, sys)
+		},
+	},
+	"old gob file rebuilds": {
+		// The exact index file format before the flat layout: a gob record.
+		prepare: func(t *testing.T, dir, _ string, _ *duo.System) string {
+			var buf bytes.Buffer
+			rec := struct {
+				IDs    []string
+				Labels []int
+				Dim    int
+				Feats  []float64
+			}{[]string{"a", "b", "c"}, []int{0, 1, 2}, 2, []float64{1, 2, 3, 4, 5, 6}}
+			if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+				t.Fatal(err)
+			}
+			return writeTestFile(t, filepath.Join(dir, "idx"), buf.Bytes())
+		},
+	},
+}
+
+func writeTestFile(t *testing.T, path string, data []byte) string {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// buildTestIndex persists a 4-entry index of engine at path.
+func buildTestIndex(t *testing.T, path, engine string, sys *duo.System) string {
+	t.Helper()
+	idx, _, err := loadOrBuildIndex(path, engine, sys, sys.Corpus.Train[:4], testPQConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
+	return path
+}
+
+// runLoadOrBuildCases runs the named cases of loadOrBuildCases for engine.
+func runLoadOrBuildCases(t *testing.T, engine string, names ...string) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -352,87 +340,80 @@ func TestLoadOrBuildPQRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "pq.duopq")
-	built, fromDisk, err := loadOrBuildPQ(path, sys, sys.Corpus.Train[:4], testPQConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		tc, ok := loadOrBuildCases[name]
+		if !ok {
+			t.Fatalf("no case %q", name)
+		}
+		t.Run(engine+"/"+name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := tc.prepare(t, dir, engine, sys)
+			idx, loaded, err := loadOrBuildIndex(path, engine, sys, sys.Corpus.Train[:4], testPQConfig())
+			if tc.wantErr {
+				if err == nil {
+					idx.Close()
+					t.Fatal("error not surfaced")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			if loaded != tc.wantLoaded || idx.Size() != 4 || engineOf(idx) != engine {
+				t.Fatalf("got a %d-entry %s index, loaded=%v; want 4 entries, %s, loaded=%v",
+					idx.Size(), engineOf(idx), loaded, engine, tc.wantLoaded)
+			}
+			// Whatever was on disk, the file there now loads as this engine.
+			again, loaded, err := loadOrBuildIndex(path, engine, sys, nil, testPQConfig())
+			if err != nil || !loaded || again.Size() != 4 {
+				t.Fatalf("index at %s did not load back: loaded=%v, err=%v", path, loaded, err)
+			}
+			again.Close()
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				t.Errorf("index dir has stray files: %v", names)
+			}
+		})
 	}
-	defer built.Close()
-	if fromDisk {
-		t.Error("first call should build, not load")
-	}
-	if built.Size() != 4 {
-		t.Errorf("built index has %d entries, want 4", built.Size())
-	}
-	loaded, fromDisk, err := loadOrBuildPQ(path, sys, nil, testPQConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if !fromDisk {
-		t.Error("second call should load from disk")
-	}
-	if loaded.Size() != built.Size() {
-		t.Errorf("sizes differ: %d vs %d", loaded.Size(), built.Size())
-	}
+}
+
+func TestLoadOrBuildShardCorruptIndexRebuilds(t *testing.T) {
+	runLoadOrBuildCases(t, "exact", "corrupt file rebuilds")
+}
+
+func TestLoadOrBuildShardReportsUnreadablePath(t *testing.T) {
+	runLoadOrBuildCases(t, "exact", "unreadable path hard-fails")
+}
+
+func TestLoadOrBuildShardRoundTrip(t *testing.T) {
+	runLoadOrBuildCases(t, "exact", "round trip loads")
+}
+
+func TestLoadOrBuildPQRoundTrip(t *testing.T) {
+	runLoadOrBuildCases(t, "pq", "round trip loads")
 }
 
 func TestLoadOrBuildPQCorruptIndexRebuilds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pq.duopq")
-	if err := os.WriteFile(path, []byte("not a pq index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	idx, fromDisk, err := loadOrBuildPQ(path, sys, sys.Corpus.Train[:4], testPQConfig())
-	if err != nil {
-		t.Fatalf("corrupt index was not rebuilt: %v", err)
-	}
-	defer idx.Close()
-	if fromDisk {
-		t.Error("corrupt index reported as loaded from disk")
-	}
-	// The rebuild overwrote the file atomically: it now loads, and the
-	// directory holds no temp droppings.
-	repaired, fromDisk, err := loadOrBuildPQ(path, sys, nil, testPQConfig())
-	if err != nil || !fromDisk {
-		t.Fatalf("repaired index did not load: fromDisk=%v, err=%v", fromDisk, err)
-	}
-	defer repaired.Close()
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("index dir has stray files: %v", names)
-	}
+	runLoadOrBuildCases(t, "pq", "corrupt file rebuilds")
 }
 
 func TestLoadOrBuildPQReportsUnreadablePath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sys, err := newTestSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ENOTDIR is an environment problem, not a missing-or-damaged index;
-	// it must surface instead of triggering a silent rebuild.
-	blocker := filepath.Join(t.TempDir(), "blocker")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadOrBuildPQ(filepath.Join(blocker, "pq.duopq"), sys, sys.Corpus.Train[:2], testPQConfig()); err == nil {
-		t.Error("unreadable index path did not surface an error")
+	runLoadOrBuildCases(t, "pq", "unreadable path hard-fails")
+}
+
+// TestLoadOrBuildRebuildsUnusableFiles covers the cases without a per-engine
+// test of their own, for both engines.
+func TestLoadOrBuildRebuildsUnusableFiles(t *testing.T) {
+	for _, engine := range []string{"exact", "pq"} {
+		runLoadOrBuildCases(t, engine, "missing file builds", "kind mismatch rebuilds", "old gob file rebuilds")
 	}
 }
 
@@ -448,7 +429,7 @@ func TestQueryAgainstPQNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testPQConfig()
-	idx, _, err := loadOrBuildPQ("", sys, sys.Corpus.Train[:4], cfg)
+	idx, _, err := loadOrBuildIndex("", "pq", sys, sys.Corpus.Train[:4], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

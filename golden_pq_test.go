@@ -33,8 +33,8 @@ type goldenPQ struct {
 const goldenPQPath = "testdata/golden_pq.json"
 
 // goldenPQSetup builds the fixed corpus, extractor, exact engine, and PQ
-// engine the golden test pins.
-func goldenPQSetup(t *testing.T) (exact, pq *retrieval.Engine, queries []*Video) {
+// engine (with its index) the golden test pins.
+func goldenPQSetup(t *testing.T) (exact, pq *retrieval.Engine, pqIdx *retrieval.PQIndex, queries []*Video) {
 	t.Helper()
 	c, err := dataset.Generate(dataset.Config{
 		Name: "GoldenPQ", Categories: 4, TrainPerCategory: 15, TestPerCategory: 3,
@@ -60,7 +60,7 @@ func goldenPQSetup(t *testing.T) (exact, pq *retrieval.Engine, queries []*Video)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return retrieval.NewEngine(m, c.Train), pq, c.Test
+	return retrieval.NewEngine(m, c.Train), pq, ix, c.Test
 }
 
 // pqFingerprint hashes every query's full ranked list: result IDs and the
@@ -91,7 +91,7 @@ func TestGoldenPQ(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
-	exact, pq, queries := goldenPQSetup(t)
+	exact, pq, pqIdx, queries := goldenPQSetup(t)
 	got := goldenPQ{
 		Fingerprint: pqFingerprint(queries, pq.Retrieve),
 		RecallAt10:  retrieval.RecallAtM(exact, pq, queries, 10),
@@ -132,7 +132,7 @@ func TestGoldenPQ(t *testing.T) {
 
 	// Same bits at workers=4: the scan shards, the fingerprint must not.
 	parallel.SetWorkers(4)
-	_, pq4, queries4 := goldenPQSetup(t)
+	_, pq4, _, queries4 := goldenPQSetup(t)
 	if fp4 := pqFingerprint(queries4, pq4.Retrieve); fp4 != got.Fingerprint {
 		t.Errorf("workers=4 fingerprint differs:\n w1 %s\n w4 %s", got.Fingerprint, fp4)
 	}
@@ -144,17 +144,21 @@ func TestGoldenPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pq.WriteIndex(f); err != nil {
+	if err := pqIdx.WriteIndex(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := retrieval.OpenPQIndexFile(path)
+	opened, err := retrieval.OpenIndexFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	defer opened.Close()
+	ix, ok := opened.(*retrieval.PQIndex)
+	if !ok {
+		t.Fatalf("reopened a %T, want *retrieval.PQIndex", opened)
+	}
 	reloaded, err := retrieval.NewEngineFromIndex(pq.Model(), ix)
 	if err != nil {
 		t.Fatal(err)

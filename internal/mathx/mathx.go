@@ -50,33 +50,6 @@ func LogSumExp(x []float64) float64 {
 	return m + math.Log(sum)
 }
 
-// Mean returns the arithmetic mean of x, or 0 for empty input.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x, or 0 for fewer than
-// two samples.
-func Std(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -96,15 +69,3 @@ func Sigmoid(x float64) float64 {
 	e := math.Exp(x)
 	return e / (1 + e)
 }
-
-// Relu returns max(0, x).
-func Relu(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
-}
-
-// Hinge returns max(0, x), the positive-part operator [x]₊ used by margin
-// losses.
-func Hinge(x float64) float64 { return Relu(x) }

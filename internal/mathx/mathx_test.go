@@ -45,21 +45,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestMeanStd(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %g", got)
-	}
-	if got := Std([]float64{2, 4}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Std = %g", got)
-	}
-	if got := Std([]float64{5}); got != 0 {
-		t.Errorf("Std single = %g", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")

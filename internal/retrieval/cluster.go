@@ -70,6 +70,11 @@ func (s *Shard) Size() int { return s.g.size() }
 // Dim returns the feature dimension (0 for an empty shard).
 func (s *Shard) Dim() int { return s.g.dim }
 
+// Close releases the shard's backing storage (the memory mapping for a
+// shard opened with OpenIndexFile; a no-op otherwise). A shard opened from
+// a file must not be used after Close.
+func (s *Shard) Close() error { return s.g.close() }
+
 // Nearest returns the shard's top-m entries for the query feature. The
 // scan is single-threaded (the cluster's node fan-out is the unit of
 // parallelism) but uses the pooled top-m heap, so serving a query does not

@@ -97,7 +97,7 @@ func TestAllTiersMatchReference(t *testing.T) {
 		if err := shard.WriteIndex(&file); err != nil {
 			t.Fatal(err)
 		}
-		reloaded, err := ReadShard(&file)
+		reloaded, err := decodeIndex(file.Bytes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ package retrieval
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"duo/internal/metrics"
@@ -132,13 +131,12 @@ func Query(r Retriever, tc trace.Context, v *video.Video, m int) ([]Result, erro
 }
 
 // index is the model-free half of an Engine: a gallery that answers
-// raw-feature top-m queries with up to `workers` scan shards and persists
-// itself. The exact Shard and the product-quantized PQIndex implement it.
+// raw-feature top-m queries with up to `workers` scan shards. The exact
+// Shard and the product-quantized PQIndex implement it.
 type index interface {
 	nearest(feat []float64, m, workers int) []Result
 	Size() int
 	Dim() int
-	WriteIndex(w io.Writer) error
 }
 
 // Engine is a single-node retrieval system: one feature extractor plus one

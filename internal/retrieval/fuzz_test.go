@@ -7,39 +7,50 @@ import (
 	"duo/internal/tensor"
 )
 
-// FuzzReadShard hardens the index decoder: corrupted bytes must yield an
-// error or a consistent shard, never a panic or an inconsistent index.
+// FuzzReadShard hardens the one index decoder, exact and product-quantized
+// files alike: any input must either fail with one of the ErrIndex* errors
+// or load an index that answers without panicking, returns at most Size()
+// results, and writes back byte-identically. Each input is decoded as is
+// and, when it is long enough to have a header, again with its checksum
+// repaired, so mutations reach the structural checks behind the CRC.
 func FuzzReadShard(f *testing.F) {
 	shard := NewShardFromFeatures([]string{"a", "b"}, []int{0, 1},
 		[]*tensor.Tensor{tensor.From([]float64{1, 2}, 2), tensor.From([]float64{3, 4}, 2)})
-	var buf bytes.Buffer
-	if err := shard.WriteIndex(&buf); err != nil {
+	ids, labels, feats := pqTestData(41, 6, 4)
+	pq, err := NewPQIndex(ids, labels, feats, PQConfig{Subspaces: 2, Centroids: 3, Seed: 1, RerankDepth: 2})
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	if len(valid) > 8 {
-		flipped := append([]byte(nil), valid...)
-		flipped[len(flipped)/2] ^= 0x5a
-		f.Add(flipped)
-		f.Add(valid[:len(valid)-3])
-	}
+	exact, quantized := encodeIndex(f, shard), encodeIndex(f, pq)
+	f.Add(exact)
+	f.Add(quantized)
+	f.Add(hostileIndexFile())
+	f.Add(encodeIndex(f, NewShardFromFeatures(nil, nil, nil)))
+	f.Add(quantized[:len(quantized)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadShard(bytes.NewReader(data))
-		if err != nil {
-			return
+		inputs := [][]byte{data}
+		if len(data) >= indexHeaderSize {
+			inputs = append(inputs, sealIndex(append([]byte(nil), data...)))
 		}
-		// A decoded shard must answer queries without panicking and with
-		// a result count bounded by its size.
-		if got.Size() == 0 {
-			return
-		}
-		rs := got.Nearest(make([]float64, got.Dim()), got.Size()+5)
-		if len(rs) > got.Size() {
-			t.Fatalf("returned %d results from %d entries", len(rs), got.Size())
+		for _, in := range inputs {
+			ix, err := decodeIndex(in, nil)
+			if err != nil {
+				if !isIndexError(err) {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			if rs := ix.Nearest(make([]float64, ix.Dim()), ix.Size()+5); len(rs) > ix.Size() {
+				t.Fatalf("returned %d results from %d entries", len(rs), ix.Size())
+			}
+			var out bytes.Buffer
+			if err := ix.WriteIndex(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatal("loaded index does not write back byte-identically")
+			}
 		}
 	})
 }

@@ -12,16 +12,30 @@ import (
 
 // gallery is the one in-memory feature store behind Engine, Shard and
 // PQIndex: identity metadata plus n feature rows of one dimension. Rows are
-// views: over one contiguous n×dim row-major matrix when the gallery was
-// loaded from a file (persist.go's indexRecord, the tail section of a
-// DUOPQIDX mapping — used in place), over the caller's tensors when it was
-// built from rows, so a gallery never holds a second copy of features its
+// views: over the feats section of an index file when the gallery was
+// loaded from one (persist.go; used in place, from a read-only mapping
+// where the platform allows), over the caller's tensors when it was built
+// from rows, so a gallery never holds a second copy of features its
 // caller keeps. A gallery is read-only after construction.
 type gallery struct {
 	ids    []string
 	labels []int
 	dim    int
 	rows   [][]float64
+	// closer releases the file mapping the rows view (nil for a gallery
+	// built in process or copy-decoded).
+	closer func() error
+}
+
+// close releases the gallery's file mapping, dropping the rows that view
+// it; a gallery without one keeps its rows, and a second close is a no-op.
+func (g *gallery) close() error {
+	c := g.closer
+	if c == nil {
+		return nil
+	}
+	g.closer, g.rows = nil, nil
+	return c()
 }
 
 // checkShape is the single place the store's shape invariants are stated,
@@ -103,16 +117,6 @@ func embedGallery(m models.Model, vs []*video.Video) gallery {
 }
 
 func (g *gallery) size() int { return len(g.ids) }
-
-// flat returns the rows as one fresh n×dim row-major matrix (the on-disk
-// shape).
-func (g *gallery) flat() []float64 {
-	feats := make([]float64, 0, len(g.rows)*g.dim)
-	for _, r := range g.rows {
-		feats = append(feats, r...)
-	}
-	return feats
-}
 
 // checkQuery is the per-query half of the shape contract: rows were
 // validated at construction, so one length check per query replaces a

@@ -23,7 +23,7 @@ import (
 // would return for those candidates. This is how production ANN systems
 // keep million-entry galleries scannable (§I's "ever-growing large
 // database"); DESIGN.md §14 specifies the determinism contract and the
-// on-disk layout (pqfile.go).
+// on-disk layout (persist.go).
 
 // pqScanMinShard is the minimum code rows per scan shard: below this the
 // per-row ADC work (nsub table lookups) is too cheap to amortize goroutine
@@ -125,7 +125,7 @@ func (sc *pqScratch) adcDist() func(i int) float64 {
 // PQIndex is a model-free product-quantized gallery index: codebooks and
 // the byte code matrix over the same gallery store the exact tiers scan.
 // It answers raw-feature queries (the node-side GalleryIndex surface) and
-// is the unit persisted by pqfile.go. All storage is read-only after
+// is persisted by persist.go. All storage is read-only after
 // construction, so a loaded index aliases a memory-mapped file directly.
 type PQIndex struct {
 	// g holds identity metadata and the exact feature rows. The rows are
@@ -145,10 +145,6 @@ type PQIndex struct {
 	cbOff []int
 	// codes is the n×nsub row-major code matrix.
 	codes []byte
-
-	// closer releases a memory-mapped backing file (nil for built or
-	// copy-decoded indexes).
-	closer func() error
 
 	scratch sync.Pool
 	tel     pqTel
@@ -264,14 +260,10 @@ func (ix *PQIndex) RerankDepth() int { return ix.rerank }
 // index opened from a file; a no-op otherwise). The index must not be used
 // after Close.
 func (ix *PQIndex) Close() error {
-	if ix.closer == nil {
-		return nil
+	if ix.g.closer != nil {
+		ix.codebooks, ix.codes = nil, nil
 	}
-	c := ix.closer
-	ix.closer = nil
-	// Drop the aliases into the mapping before releasing it.
-	ix.codebooks, ix.codes, ix.g.rows = nil, nil, nil
-	return c()
+	return ix.g.close()
 }
 
 // effectiveRerank is the candidate count actually re-ranked for a query

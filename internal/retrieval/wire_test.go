@@ -2,23 +2,17 @@ package retrieval
 
 // Round-trip tests for every type that crosses a gob boundary: the TCP
 // wire protocol (nearestRequest/nearestResponse, including the optional
-// trace-context field) and the persisted index format (indexRecord). The
-// gobsymmetry analyzer cross-checks that every gob-encoded type is
-// exercised here, so a new wire field without a round-trip test fails
-// duolint.
+// trace-context field). The gobsymmetry analyzer cross-checks that every
+// gob-encoded type is exercised here, so a new wire field without a
+// round-trip test fails duolint.
 
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
-	"fmt"
-	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
 	"duo/internal/telemetry"
-	"duo/internal/tensor"
 	"duo/internal/trace"
 )
 
@@ -62,99 +56,6 @@ func TestNearestResponseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip mutated response: %+v -> %+v", in, out)
 	}
-}
-
-func TestIndexRecordRoundTrip(t *testing.T) {
-	in := indexRecord{
-		IDs:    []string{"a", "b"},
-		Labels: []int{1, 2},
-		Dim:    2,
-		Feats:  []float64{0.5, 1, 1.5, 2},
-	}
-	var out indexRecord
-	gobRoundTrip(t, &in, &out)
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip mutated index record: %+v -> %+v", in, out)
-	}
-
-	// Back-compat pin. testdata/index_v1.gob was written by Shard.WriteIndex
-	// at the last commit that stored the gallery as []*tensor.Tensor, over
-	// pinnedIndexRows; index_v1_top5.json is what that commit's Shard.Nearest
-	// answered. The flat store must write the same bytes and, loading the old
-	// file, return the same lists.
-	old, err := os.ReadFile("testdata/index_v1.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, labels, rows, queries := pinnedIndexRows()
-	var fresh bytes.Buffer
-	if err := NewShardFromFeatures(ids, labels, rows).WriteIndex(&fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fresh.Bytes(), old) {
-		t.Error("WriteIndex bytes differ from the index the previous layout wrote for the same gallery")
-	}
-	shard, err := ReadShard(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := ReadEngine(bytes.NewReader(old), identityModel{dim: shard.Dim()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rewritten bytes.Buffer
-	if err := eng.WriteIndex(&rewritten); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rewritten.Bytes(), old) {
-		t.Error("a loaded index does not write back byte-identically")
-	}
-	raw, err := os.ReadFile("testdata/index_v1_top5.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want [][]Result
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if got := shard.Nearest(q, 5); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("ReadShard query %d:\n got %v\nwant %v", i, got, want[i])
-		}
-		if got := eng.Retrieve(asVideos(q)[0], 5); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("ReadEngine query %d:\n got %v\nwant %v", i, got, want[i])
-		}
-	}
-}
-
-// pinnedIndexRows is the gallery behind testdata/index_v1.gob (every third
-// row duplicates its predecessor, so the pinned lists contain ID-broken
-// ties) plus the queries behind index_v1_top5.json. Changing it invalidates
-// both files.
-func pinnedIndexRows() (ids []string, labels []int, rows []*tensor.Tensor, queries [][]float64) {
-	rng := rand.New(rand.NewSource(20260929))
-	const n, dim = 12, 4
-	for i := 0; i < n; i++ {
-		row := make([]float64, dim)
-		if i%3 == 2 {
-			copy(row, rows[i-1].Data())
-		} else {
-			for d := range row {
-				row[d] = rng.NormFloat64()
-			}
-		}
-		ids = append(ids, fmt.Sprintf("pin-%02d", i))
-		labels = append(labels, i%4)
-		rows = append(rows, tensor.From(row, dim))
-	}
-	for q := 0; q < 3; q++ {
-		query := make([]float64, dim)
-		for d := range query {
-			query[d] = rng.NormFloat64()
-		}
-		queries = append(queries, query)
-	}
-	return ids, labels, rows, queries
 }
 
 func TestStatsProbeRoundTrip(t *testing.T) {

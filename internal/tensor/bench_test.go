@@ -43,16 +43,6 @@ func BenchmarkL20Video(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := RandNormal(rng, 0, 1, 64, 64)
-	y := RandNormal(rng, 0, 1, 64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = x.MatMul(y)
-	}
-}
-
 func BenchmarkClampInPlace(b *testing.B) {
 	x, _ := benchTensors(12288)
 	b.ReportAllocs()

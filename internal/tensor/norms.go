@@ -60,18 +60,6 @@ func (t *Tensor) L20() int {
 	return n
 }
 
-// RowL2 returns the L2 norm of each slice along the first dimension.
-func (t *Tensor) RowL2() []float64 {
-	if t.Rank() == 0 {
-		return []float64{math.Abs(t.data[0])}
-	}
-	out := make([]float64, t.shape[0])
-	for i := range out {
-		out[i] = t.Slice(i).L2()
-	}
-	return out
-}
-
 // SquaredDistance returns ‖t-u‖₂².
 func (t *Tensor) SquaredDistance(u *Tensor) float64 {
 	t.mustSameShape(u, "SquaredDistance")

@@ -152,34 +152,6 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 	return s
 }
 
-// MatMul returns the matrix product of two rank-2 tensors: (a×b)·(b×c)=(a×c).
-func (t *Tensor) MatMul(u *Tensor) *Tensor {
-	if t.Rank() != 2 || u.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", t.shape, u.shape))
-	}
-	a, b := t.shape[0], t.shape[1]
-	b2, c := u.shape[0], u.shape[1]
-	if b != b2 {
-		panic(fmt.Sprintf("tensor: MatMul: inner dims differ: %v · %v", t.shape, u.shape))
-	}
-	out := New(a, c)
-	for i := 0; i < a; i++ {
-		ti := t.data[i*b : (i+1)*b]
-		oi := out.data[i*c : (i+1)*c]
-		for k := 0; k < b; k++ {
-			tv := ti[k]
-			if tv == 0 {
-				continue
-			}
-			uk := u.data[k*c : (k+1)*c]
-			for j := 0; j < c; j++ {
-				oi[j] += tv * uk[j]
-			}
-		}
-	}
-	return out
-}
-
 // MatVec returns the matrix-vector product of a rank-2 tensor (a×b) with a
 // rank-1 tensor (b), producing a rank-1 tensor (a).
 func (t *Tensor) MatVec(v *Tensor) *Tensor {

@@ -18,18 +18,6 @@ func (t *Tensor) FillNormal(rng *rand.Rand, mean, std float64) *Tensor {
 	return t
 }
 
-// FillRademacher fills t with independent ±v values (equal probability).
-func (t *Tensor) FillRademacher(rng *rand.Rand, v float64) *Tensor {
-	for i := range t.data {
-		if rng.Intn(2) == 0 {
-			t.data[i] = v
-		} else {
-			t.data[i] = -v
-		}
-	}
-	return t
-}
-
 // RandUniform returns a new tensor of the given shape filled from U[lo, hi).
 func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	return New(shape...).FillUniform(rng, lo, hi)

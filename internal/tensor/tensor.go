@@ -66,13 +66,6 @@ func Wrap(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), strides: stridesFor(shape), data: data}
 }
 
-// Scalar returns a 0-dimensional tensor holding v.
-func Scalar(v float64) *Tensor {
-	t := New()
-	t.data[0] = v
-	return t
-}
-
 func stridesFor(shape []int) []int {
 	s := make([]int, len(shape))
 	acc := 1

@@ -201,16 +201,6 @@ func TestL0AndL20(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := From([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := a.MatMul(b)
-	want := From([]float64{58, 64, 139, 154}, 2, 2)
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("MatMul = %v, want %v", got, want)
-	}
-}
-
 func TestMatVec(t *testing.T) {
 	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := From([]float64{1, 0, -1}, 3)
@@ -297,15 +287,6 @@ func TestFillRandomDeterminism(t *testing.T) {
 	b := New(100).FillNormal(rand.New(rand.NewSource(7)), 0, 1)
 	if !a.Equal(b, 0) {
 		t.Error("same seed produced different tensors")
-	}
-}
-
-func TestFillRademacher(t *testing.T) {
-	a := New(1000).FillRademacher(rand.New(rand.NewSource(1)), 0.5)
-	for _, v := range a.Data() {
-		if v != 0.5 && v != -0.5 {
-			t.Fatalf("Rademacher produced %g", v)
-		}
 	}
 }
 
