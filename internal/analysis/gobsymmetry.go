@@ -11,18 +11,18 @@ import (
 	"strings"
 )
 
-// Gobsymmetry guards the wire layout of the distributed retrieval
-// protocol (DESIGN.md §12): every struct type this package passes to
-// gob's Encoder.Encode or Decoder.Decode is a wire type whose layout both
-// ends of a connection must decode identically. For each wire type declared in
-// the package, the rule requires
+// Gobsymmetry guards the layout of every gob-encoded type: every struct
+// type a package passes to gob's Encoder.Encode or Decoder.Decode must
+// decode identically on the reading side. Its only remaining subject is
+// internal/dataset's synthetic-corpus file; the retrieval wire and index
+// files use hand-written little-endian layouts. For each such type
+// declared in the package, the rule requires
 //
 //   - every field to be exported — gob silently drops unexported fields,
 //     which decodes as zero values on the far side with no error; and
 //   - a sibling _test.go file that mentions the type by name and builds
 //     both a gob.NewEncoder and a gob.NewDecoder — evidence of a
-//     round-trip test pinning the type's wire behavior (wire_test.go's
-//     gobRoundTrip pattern).
+//     round-trip test pinning the type's encoded behavior.
 //
 // The test-file scan is syntactic on purpose: it runs without type-checking
 // the test sources, so the rule stays cheap and dependency-free.

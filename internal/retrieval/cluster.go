@@ -90,8 +90,8 @@ func (s *Shard) nearest(feat []float64, m, workers int) []Result {
 }
 
 // Transport carries nearest-neighbour calls to a data node. The in-memory
-// implementation calls the shard directly; the TCP implementation speaks a
-// gob protocol to a remote node.
+// implementation calls the shard directly; the TCP implementation sends
+// length-prefixed frames (wire.go) to a remote node.
 type Transport interface {
 	// Nearest returns the node's top-m results for the query feature.
 	Nearest(feat []float64, m int) ([]Result, error)
@@ -235,9 +235,6 @@ type nodeStats struct {
 	lastErr             string
 }
 
-// Cluster is the distributed retrieval coordinator of Fig. 1: it extracts
-// the query's features once, scatters the feature vector to every data
-// node concurrently, and merges the nodes' top-m lists into a global top-m.
 // clusterNodeTel is one node's telemetry instrument set: request/error
 // counters plus a breaker-state gauge mirroring Health().
 type clusterNodeTel struct {
@@ -255,6 +252,9 @@ type clusterNodeTel struct {
 	breaker *telemetry.Gauge
 }
 
+// Cluster is the distributed retrieval coordinator of Fig. 1: it extracts
+// the query's features once, scatters the feature vector to every data
+// node concurrently, and merges the nodes' top-m lists into a global top-m.
 type Cluster struct {
 	model   models.Model
 	nodes   []Transport

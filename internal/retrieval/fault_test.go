@@ -491,9 +491,9 @@ func TestChaosPartialResultPolicies(t *testing.T) {
 	}
 }
 
-// TestTCPTransportSurvivesServerRestart is the regression test for gob
-// codec poisoning: a transport must recover (fresh conn + codecs) after
-// its server dies and comes back.
+// TestTCPTransportSurvivesServerRestart is the regression test for
+// connection poisoning: a transport must recover (a fresh connection)
+// after its server dies and comes back.
 func TestTCPTransportSurvivesServerRestart(t *testing.T) {
 	m, c := chaosSystem(t)
 	shard := NewShard(m, c.Train[:6])

@@ -230,7 +230,7 @@ func TestIndexFileBitFlipsNeverChangeAnswers(t *testing.T) {
 // TestIndexRecordRoundTrip pins the exact index record against answers
 // recorded before the format changed: testdata/index_v1_top5.json is what
 // Shard.Nearest answered over pinnedIndexRows when shards were still
-// written with encoding/gob. Written and read back in the current format,
+// written as gob records. Written and read back in the current format,
 // the shard and an engine over it must return the same lists, and the
 // loaded shard must write back byte-identically.
 func TestIndexRecordRoundTrip(t *testing.T) {

@@ -1,9 +1,13 @@
 package retrieval
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -260,7 +264,8 @@ func TestNodeServerRejectsNegativeM(t *testing.T) {
 // ErrBadRequest instead of reaching the index — where it would panic in a
 // handler goroutine and take the node down. The same connection then serves
 // a good request, the retry layer does not re-send the frame, and the
-// breaker does not count it against the node.
+// breaker does not count it against the node. Hand-built hostile frames
+// (hostileFrames) cost one request or one connection, never the node.
 func TestNodeServerSurvivesMalformedRequests(t *testing.T) {
 	_, c, m := testSystem(t)
 	dim := m.FeatureDim()
@@ -300,6 +305,7 @@ func TestNodeServerSurvivesMalformedRequests(t *testing.T) {
 				t.Fatalf("%s: good request after a bad one: %v, err %v; want %v", name, got, err, want)
 			}
 		}
+		hostileFrames(t, name, srv.Addr(), good, want)
 		if n := tcp.Reconnects(); n != 0 {
 			t.Errorf("%s: %d reconnects: a bad request must not cost the connection", name, n)
 		}
@@ -309,6 +315,74 @@ func TestNodeServerSurvivesMalformedRequests(t *testing.T) {
 		if st := node.State(); st != BreakerClosed {
 			t.Errorf("%s: breaker %v after bad requests, want closed", name, st)
 		}
+	}
+}
+
+// hostileFrames sends hand-built frames to the node at addr over raw
+// connections. A length-delimited body that does not parse is refused as
+// ErrBadRequest, echoing its ID, and the same connection then serves a
+// good request. A header past the frame limit makes the node close that
+// connection at once, far inside its idle timeout, while another
+// connection keeps being served.
+func hostileFrames(t *testing.T, name, addr string, good []float64, want []Result) {
+	t.Helper()
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second)) //duolint:allow walltime test watchdog on a raw socket; no result bit depends on it
+		return conn, bufio.NewReader(conn)
+	}
+	exchange := func(conn net.Conn, r *bufio.Reader, frame []byte) nearestResponse {
+		t.Helper()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		body, err := readFrame(r, nil)
+		if err != nil {
+			t.Fatalf("%s: read reply: %v", name, err)
+		}
+		resp, err := decodeResponse(body)
+		if err != nil {
+			t.Fatalf("%s: decode reply: %v", name, err)
+		}
+		return resp
+	}
+	body := frameOf(t, &nearestRequest{ID: 7, M: 3, Feat: good})[frameHeader:]
+	goodFrame := frameOf(t, &nearestRequest{ID: 8, M: 3, Feat: good})
+	conn, r := dial()
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"dim past the body", body[:len(body)-8]},
+		{"trailing bytes", append(append([]byte(nil), body...), 0)},
+		{"unknown kind", append([]byte{9}, body[1:]...)},
+	} {
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(tc.body))), tc.body...)
+		if resp := exchange(conn, r, frame); resp.ID != 7 || !resp.BadRequest {
+			t.Errorf("%s: %s: reply %+v, want a bad-request refusal of ID 7", name, tc.name, resp)
+		}
+		if resp := exchange(conn, r, goodFrame); resp.ID != 8 || !reflect.DeepEqual(resp.Results, want) {
+			t.Errorf("%s: good request after %s: reply %+v, want %v", name, tc.name, resp, want)
+		}
+	}
+
+	over, _ := dial()
+	start := time.Now() //duolint:allow walltime test bound on how promptly the node drops the connection; no result bit depends on it
+	if _, err := over.Write(overLimitFrame()); err != nil {
+		t.Fatalf("%s: write: %v", name, err)
+	}
+	if n, err := over.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("%s: over-limit header: read %d bytes, err %v; want the node to close the connection", name, n, err)
+	}
+	if took := time.Since(start); took > 5*time.Second { //duolint:allow walltime test bound on how promptly the node drops the connection; no result bit depends on it
+		t.Errorf("%s: over-limit header closed after %v, want at once", name, took)
+	}
+	if resp := exchange(conn, r, goodFrame); resp.ID != 8 || !reflect.DeepEqual(resp.Results, want) {
+		t.Errorf("%s: other connection after an over-limit header: reply %+v, want %v", name, resp, want)
 	}
 }
 

@@ -8,40 +8,18 @@ import (
 )
 
 // This file is the node-side half of the fleet observability plane: a
-// stats probe that rides the nearest wire protocol as a nil-pointer field
-// (like the trace context), so a coordinator can pull every data node's
-// telemetry snapshot over the connections it already holds. The probe is answered before admission
-// control — observability must stay readable while a node is shedding,
-// or the fleet view goes dark exactly when an operator needs it.
+// stats probe is a request frame kind (wire.go) answered with the node's
+// NodeStats JSON, so a coordinator pulls every node's telemetry over the
+// connections it already holds. It is answered before admission control —
+// observability must stay readable while a node is shedding, or the fleet
+// view goes dark exactly when an operator needs it.
 
 // ErrStatsUnsupported is returned when a node cannot report stats: its
 // transport is not a StatsPuller, or its probe reply carried no payload.
 var ErrStatsUnsupported = errors.New("retrieval: node does not support stats")
 
-// statsRequest asks a node for its telemetry snapshot. It rides
-// nearestRequest as a nil pointer field, so a scan without a probe pays
-// no bytes for it (wire_test.go pins that).
-type statsRequest struct {
-	// Rings selects whether the node includes its telemetry rings
-	// (recent-sample windows — flight-recorder material, potentially
-	// large). Default off: merged fleet views drop rings anyway.
-	Rings bool
-}
-
-// statsResponse is the node's answer, riding nearestResponse the same
-// way.
-type statsResponse struct {
-	// Snapshot is the node registry's state; empty when the node runs
-	// without telemetry (gob omits it, and the client restores it).
-	Snapshot *telemetry.Snapshot
-	// Size is the node's indexed entry count.
-	Size int
-	// Addr is the node's listen address, for fleet-view labelling.
-	Addr string
-}
-
 // NodeStats is one node's self-report, as surfaced to coordinator-side
-// callers.
+// callers. Its JSON is the payload of a stats probe's reply frame.
 type NodeStats struct {
 	// Snapshot is never nil on success.
 	Snapshot *telemetry.Snapshot

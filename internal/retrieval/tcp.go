@@ -1,7 +1,8 @@
 package retrieval
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -28,52 +29,11 @@ const (
 
 // ErrBadRequest is the typed error for a request the node refused as
 // malformed: a negative m, or a query feature whose length is not the
-// index dimension. The node answered, so it is alive and the connection
-// stays in sync — BreakerTransport does not count it — and re-sending the
-// same frame cannot succeed, so RetryTransport does not retry it. Like
-// ErrOverloaded it crosses the wire as a flag on the response frame.
+// index dimension, or a frame that does not parse. The node answered, so
+// it is alive and the connection stays in sync — BreakerTransport does not
+// count it — and re-sending the same frame cannot succeed, so
+// RetryTransport does not retry it. It crosses the wire as a reply flag.
 var ErrBadRequest = errors.New("retrieval: bad request")
-
-// nearestRequest and nearestResponse form the wire protocol between the
-// coordinator and a TCP data node: length-delimited gob messages over a
-// persistent connection.
-//
-// Every process in a fleet is one build (each rebuilds the victim from
-// -seed), so both ends always share these structs; there is no version
-// negotiation.
-//
-// TC carries the coordinator's span context so node-side spans parent
-// correctly across the process boundary. It is a pointer because gob
-// omits nil pointer fields from the encoded value, so an untraced request
-// pays nothing for it (wire_test.go pins that).
-//
-// ID multiplexes concurrent requests over one connection: a response
-// echoes its request's ID, so replies may arrive out of order. The client
-// numbers every request from 1; a reply whose ID matches no waiting call
-// is a protocol error that fails the connection.
-//
-// Stats turns the message into a telemetry probe instead of a scan (see
-// stats.go); like TC, a nil probe adds no bytes to a scan.
-type nearestRequest struct {
-	Feat  []float64
-	M     int
-	TC    *trace.Context
-	ID    uint64
-	Stats *statsRequest
-}
-
-// nearestResponse's Overloaded flag is how ErrOverloaded crosses the wire:
-// a typed sentinel can't ride a string field, so the client re-wraps the
-// flag into ErrOverloaded and errors.Is works across the process boundary.
-// BadRequest does the same for ErrBadRequest.
-type nearestResponse struct {
-	Results    []Result
-	Err        string
-	ID         uint64
-	Overloaded bool
-	Stats      *statsResponse
-	BadRequest bool
-}
 
 // NodeServerConfig parameterizes a NodeServer's deadlines and admission
 // limits. The zero value selects the package defaults (and unbounded
@@ -190,12 +150,6 @@ func (s *NodeServer) acceptLoop() {
 	}
 }
 
-// shedResponse is the well-framed refusal for a request that lost
-// admission; id echoes the request so multiplexed clients match it.
-func shedResponse(id uint64) nearestResponse {
-	return nearestResponse{ID: id, Err: "node overloaded", Overloaded: true}
-}
-
 func (s *NodeServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	// handlers tracks this connection's in-flight request goroutines, so
@@ -209,46 +163,53 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	r := bufio.NewReader(conn)
+	var body []byte
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) //duolint:allow walltime socket deadlines are wall-clock by definition; no result bit depends on them
 		}
-		var req nearestRequest
-		if err := dec.Decode(&req); err != nil {
-			return // client hung up, idled out, or connection torn down
+		var err error
+		if body, err = readFrame(r, body); err != nil {
+			return // hung up, idled out, torn down, or an over-limit header
 		}
-		if req.Stats != nil {
+		req, err := decodeRequest(body)
+		var resp nearestResponse
+		switch {
+		case err != nil:
+			// The frame was length-delimited, so the stream is still in
+			// sync: refuse this one request and keep the connection.
+			resp = nearestResponse{ID: req.ID, BadRequest: true, Err: err.Error()}
+		case req.Stats:
 			// Telemetry probe: answered inline from the read loop, BEFORE
 			// admission — a snapshot is cheap, and observability must stay
 			// readable while the node is shedding, or the fleet view goes
 			// dark exactly when an operator needs it.
-			if !s.writeResp(conn, enc, &wmu, s.handleStats(req)) {
-				return
+			resp = s.handleStats(req)
+		default:
+			// Sheds are answered immediately from the read loop (shedding
+			// must stay cheap — that is its whole point); an admitted
+			// request gets its own handler goroutine, which waits for a
+			// slot if queued.
+			tk := s.adm.reserve()
+			if tk != ticketShed {
+				handlers.Add(1)
+				go func() {
+					defer handlers.Done()
+					if tk == ticketQueued {
+						s.adm.acquire()
+					}
+					resp := s.handle(req)
+					s.adm.release()
+					s.writeResp(conn, &wmu, resp)
+				}()
+				continue
 			}
-			continue
+			resp = nearestResponse{ID: req.ID, Err: "node overloaded", Overloaded: true}
 		}
-		// Sheds are answered immediately from the read loop (shedding must
-		// stay cheap — that is its whole point); an admitted request gets
-		// its own handler goroutine, which waits for a slot if queued.
-		tk := s.adm.reserve()
-		if tk == ticketShed {
-			if !s.writeResp(conn, enc, &wmu, shedResponse(req.ID)) {
-				return
-			}
-			continue
+		if !s.writeResp(conn, &wmu, resp) {
+			return
 		}
-		handlers.Add(1)
-		go func(req nearestRequest) {
-			defer handlers.Done()
-			if tk == ticketQueued {
-				s.adm.acquire()
-			}
-			resp := s.handle(req)
-			s.adm.release()
-			s.writeResp(conn, enc, &wmu, resp)
-		}(req)
 	}
 }
 
@@ -257,11 +218,7 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 // query shape is checked here: GalleryIndex.Nearest panics on a feature of
 // the wrong dimension, and a handler goroutine has no recover.
 func (s *NodeServer) handle(req nearestRequest) nearestResponse {
-	var tc trace.Context
-	if req.TC != nil {
-		tc = *req.TC
-	}
-	sp := s.cfg.Trace.StartCtx(tc, "node.serve")
+	sp := s.cfg.Trace.StartCtx(req.TC, "node.serve")
 	sp.SetInt("m", int64(req.M))
 	resp := nearestResponse{ID: req.ID}
 	switch dim := s.shard.Dim(); {
@@ -280,32 +237,36 @@ func (s *NodeServer) handle(req nearestRequest) nearestResponse {
 	return resp
 }
 
-// handleStats answers a telemetry probe from the node's registry. A node
-// without telemetry reports an empty snapshot (the merge identity) — the
-// node is reachable and supports the protocol, it just has nothing to say.
+// handleStats answers a telemetry probe with the node's NodeStats JSON; a
+// node without telemetry reports an empty snapshot (the merge identity).
 func (s *NodeServer) handleStats(req nearestRequest) nearestResponse {
 	snap := s.cfg.Telemetry.Snapshot()
-	if !req.Stats.Rings {
-		snap.Rings = map[string][]float64{}
+	if !req.Rings {
+		snap.Rings = nil
 	}
-	return nearestResponse{ID: req.ID, Stats: &statsResponse{
-		Snapshot: snap,
-		Size:     s.shard.Size(),
-		Addr:     s.Addr(),
-	}}
+	payload, err := json.Marshal(NodeStats{Snapshot: snap, Size: s.shard.Size(), Addr: s.Addr()})
+	if err != nil {
+		return nearestResponse{ID: req.ID, Err: err.Error()}
+	}
+	return nearestResponse{ID: req.ID, Stats: payload}
 }
 
-// writeResp encodes one response under the connection's write mutex (gob
-// frames must not interleave) and write deadline. A failed write closes
-// the connection so the read loop notices promptly; false means the
-// connection is gone.
-func (s *NodeServer) writeResp(conn net.Conn, enc *gob.Encoder, wmu *sync.Mutex, resp nearestResponse) bool {
+// writeResp sends one reply frame as a single Write under the
+// connection's write mutex (frames must not interleave) and write
+// deadline; a reply past the frame limit (an absurd m on a large shard)
+// goes out as ErrBadRequest instead. A failed write closes the connection
+// so the read loop notices promptly; false means the connection is gone.
+func (s *NodeServer) writeResp(conn net.Conn, wmu *sync.Mutex, resp nearestResponse) bool {
+	frame, err := appendResponse(nil, &resp)
+	if err != nil {
+		frame, _ = appendResponse(nil, &nearestResponse{ID: resp.ID, BadRequest: true, Err: err.Error()})
+	}
 	wmu.Lock()
 	defer wmu.Unlock()
 	if s.cfg.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //duolint:allow walltime socket deadlines are wall-clock by definition; no result bit depends on them
 	}
-	if err := enc.Encode(&resp); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		conn.Close()
 		return false
 	}
@@ -355,15 +316,13 @@ type muxReply struct {
 }
 
 // muxConn is one multiplexed connection: a dedicated reader goroutine
-// decodes responses and hands each to its waiting caller by request ID.
-// Any transport-level error kills the whole connection: gob streams are
-// stateful, and a half-read message would desync every later one. A reply
-// whose ID no call is waiting for counts as such an error.
+// decodes reply frames and hands each to its waiting caller by request ID.
+// A reply body that does not parse fails only its call. A transport error
+// (timeout, reset, over-limit header) leaves the stream out of sync and
+// kills the connection; so does a reply whose ID no call is waiting for.
 type muxConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex // gob writes must not interleave
+	wmu  sync.Mutex // frames must not interleave
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxReply
@@ -376,37 +335,37 @@ func dialMux(addr string, timeout time.Duration) (*muxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: dial %s: %w", addr, err)
 	}
-	c := &muxConn{
-		conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
-		pending: make(map[uint64]chan muxReply),
-	}
+	c := &muxConn{conn: conn, pending: make(map[uint64]chan muxReply)}
 	go c.readLoop()
 	return c, nil
 }
 
 func (c *muxConn) readLoop() {
+	r := bufio.NewReader(c.conn)
+	var body []byte
 	for {
-		var resp nearestResponse
-		if err := c.dec.Decode(&resp); err != nil {
+		var err error
+		if body, err = readFrame(r, body); err != nil {
 			c.fail(fmt.Errorf("retrieval: recv: %w", err))
 			return
 		}
-		if !c.deliver(resp) {
+		resp, err := decodeResponse(body)
+		if !c.deliver(resp.ID, muxReply{resp: resp, err: err}) {
 			c.fail(fmt.Errorf("retrieval: recv: reply ID %d matches no pending call", resp.ID))
 			return
 		}
 	}
 }
 
-// deliver routes one decoded response to its caller; false means no call
-// is waiting for its ID.
-func (c *muxConn) deliver(resp nearestResponse) bool {
+// deliver routes one decoded reply to the call waiting for id; false means
+// no call is waiting for it.
+func (c *muxConn) deliver(id uint64, reply muxReply) bool {
 	c.mu.Lock()
-	ch, ok := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
+	ch, ok := c.pending[id]
+	delete(c.pending, id)
 	c.mu.Unlock()
 	if ok {
-		ch <- muxReply{resp: resp}
+		ch <- reply
 	}
 	return ok
 }
@@ -434,36 +393,33 @@ func (c *muxConn) broken() bool {
 	return c.dead
 }
 
-// register reserves a reply channel for the request ID (buffered: delivery
-// never blocks the reader on a caller that already timed out).
-func (c *muxConn) register(id uint64) (chan muxReply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead {
-		return nil, errors.New("retrieval: send: connection lost")
-	}
-	ch := make(chan muxReply, 1)
-	c.pending[id] = ch
-	return ch, nil
-}
-
-// call registers the reply channel, then encodes the request under the
-// write mutex. Registration comes first because the reply may arrive as
-// soon as the request is on the wire, and an unmatched reply fails the
-// connection. A failed send leaves its entry registered: the caller fails
-// the connection, which drops every entry.
+// call registers a reply channel for the request ID (buffered, so the
+// reader never blocks on a caller that timed out), then writes the frame
+// under the write mutex. Registration comes first because the reply may
+// arrive as soon as the request is on the wire. A failed send fails the
+// connection. A request past the frame limit is refused as ErrBadRequest.
 func (c *muxConn) call(req *nearestRequest, timeout time.Duration) (chan muxReply, error) {
+	frame, err := appendRequest(nil, req)
+	if err != nil {
+		return nil, fmt.Errorf("retrieval: send: %w: %w", ErrBadRequest, err)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	ch, err := c.register(req.ID)
-	if err != nil {
-		return nil, err
+	ch := make(chan muxReply, 1)
+	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock()
+		return nil, errors.New("retrieval: send: connection lost")
 	}
+	c.pending[req.ID] = ch
+	c.mu.Unlock()
 	if timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(timeout)) //duolint:allow walltime socket deadlines are wall-clock by definition; no result bit depends on them
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("retrieval: send: %w", err)
+	if _, err := c.conn.Write(frame); err != nil {
+		err = fmt.Errorf("retrieval: send: %w", err)
+		c.fail(err)
+		return nil, err
 	}
 	return ch, nil
 }
@@ -471,12 +427,12 @@ func (c *muxConn) call(req *nearestRequest, timeout time.Duration) (chan muxRepl
 // TCPTransport is the coordinator-side client for a TCP data node. It is
 // safe for concurrent use: requests carry IDs and multiplex over a small
 // connection pool, so concurrent callers dispatch in parallel instead of
-// serializing on one gob stream.
+// serializing on one stream.
 //
 // Every call runs under a deadline, and any transport-level error
-// (timeout, broken pipe, decode failure) discards the affected connection:
-// in-flight calls on it fail, and the next call transparently redials with
-// fresh codec state instead of poisoning the session.
+// (timeout, broken pipe, over-limit header) discards the affected connection:
+// in-flight calls on it fail, and the next call transparently redials
+// instead of waiting on a stream that is out of sync.
 type TCPTransport struct {
 	addr   string
 	cfg    TCPConfig
@@ -565,7 +521,9 @@ func (t *TCPTransport) Nearest(feat []float64, m int) ([]Result, error) {
 // roundTrip sends one request over a pool connection and waits for its
 // reply under the per-call deadline. It assigns the request's mux ID and
 // is the shared exchange path for scans (NearestTraced) and telemetry
-// probes (Stats) — one deadline/failure discipline for both.
+// probes (Stats) — one deadline/failure discipline for both. A refusal
+// (shed, bad request, node error) arrives as a complete reply: the stream
+// is in sync and the connection stays up, only this request failed.
 func (t *TCPTransport) roundTrip(req *nearestRequest) (nearestResponse, error) {
 	c, err := t.slot()
 	if err != nil {
@@ -574,7 +532,6 @@ func (t *TCPTransport) roundTrip(req *nearestRequest) (nearestResponse, error) {
 	req.ID = t.nextID.Add(1)
 	ch, err := c.call(req, t.cfg.Timeout)
 	if err != nil {
-		c.fail(err)
 		return nearestResponse{}, err
 	}
 	var reply muxReply
@@ -595,33 +552,26 @@ func (t *TCPTransport) roundTrip(req *nearestRequest) (nearestResponse, error) {
 	} else {
 		reply = <-ch
 	}
-	return reply.resp, reply.err
+	switch resp := reply.resp; {
+	case reply.err != nil:
+		return resp, reply.err
+	case resp.Overloaded:
+		return resp, fmt.Errorf("retrieval: node %s: %w", t.addr, ErrOverloaded)
+	case resp.BadRequest:
+		return resp, fmt.Errorf("retrieval: node %s: %w: %s", t.addr, ErrBadRequest, resp.Err)
+	case resp.Err != "":
+		return resp, fmt.Errorf("retrieval: node error: %s", resp.Err)
+	}
+	return reply.resp, nil
 }
 
 // NearestTraced implements TracedTransport: the span context rides the
-// request's optional TC field, so a traced node server parents its
-// node.serve span under the coordinator's node span. A zero context adds
-// nothing to the encoded request.
+// request frame, so a traced node server parents its node.serve span under
+// the coordinator's node span. A zero context adds nothing to the frame.
 func (t *TCPTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([]Result, error) {
-	req := nearestRequest{Feat: feat, M: m}
-	if tc.Valid() {
-		req.TC = &tc
-	}
-	resp, err := t.roundTrip(&req)
+	resp, err := t.roundTrip(&nearestRequest{Feat: feat, M: m, TC: tc})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Overloaded {
-		// A shed arrives as a complete, well-framed response: the stream is
-		// in sync and the connection stays up — only this request was refused.
-		return nil, fmt.Errorf("retrieval: node %s: %w", t.addr, ErrOverloaded)
-	}
-	if resp.BadRequest {
-		return nil, fmt.Errorf("retrieval: node %s: %w: %s", t.addr, ErrBadRequest, resp.Err)
-	}
-	if resp.Err != "" {
-		// A node-side application error likewise keeps the connection.
-		return nil, fmt.Errorf("retrieval: node error: %s", resp.Err)
 	}
 	return resp.Results, nil
 }
@@ -631,20 +581,18 @@ func (t *TCPTransport) NearestTraced(tc trace.Context, feat []float64, m int) ([
 // it answers even while the node sheds. A reply without a stats payload
 // maps to ErrStatsUnsupported, never to an invented empty snapshot.
 func (t *TCPTransport) Stats(includeRings bool) (NodeStats, error) {
-	req := nearestRequest{Stats: &statsRequest{Rings: includeRings}}
-	resp, err := t.roundTrip(&req)
+	resp, err := t.roundTrip(&nearestRequest{Stats: true, Rings: includeRings})
 	if err != nil {
 		return NodeStats{}, err
 	}
 	if resp.Stats == nil {
 		return NodeStats{}, fmt.Errorf("retrieval: node %s: %w", t.addr, ErrStatsUnsupported)
 	}
-	snap := resp.Stats.Snapshot
-	if snap == nil {
-		// gob omits zero-valued fields; an empty snapshot decodes as nil.
-		snap = &telemetry.Snapshot{}
+	var st NodeStats
+	if err := json.Unmarshal(resp.Stats, &st); err != nil || st.Snapshot == nil {
+		return NodeStats{}, fmt.Errorf("retrieval: node %s: stats payload without a snapshot (%v)", t.addr, err)
 	}
-	return NodeStats{Snapshot: snap, Size: resp.Stats.Size, Addr: resp.Stats.Addr}, nil
+	return st, nil
 }
 
 // Close implements Transport: every pool connection dies, failing any

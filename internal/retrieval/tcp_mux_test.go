@@ -6,11 +6,12 @@ package retrieval
 // and a reply that matches no pending call failing its connection.
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,17 +174,22 @@ func misreplyingNode(t *testing.T, badID func(req nearestRequest) uint64) (addr 
 			go func(first bool) {
 				defer wg.Done()
 				defer conn.Close()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+				r := bufio.NewReader(conn)
 				for {
-					var req nearestRequest
-					if dec.Decode(&req) != nil {
+					body, err := readFrame(r, nil)
+					if err != nil {
+						return
+					}
+					req, err := decodeRequest(body)
+					if err != nil {
 						return
 					}
 					resp := nearestResponse{ID: req.ID, Results: []Result{{ID: "v", Label: req.M}}}
 					if first {
 						resp.ID = badID(req)
 					}
-					if enc.Encode(&resp) != nil {
+					frame, err := appendResponse(nil, &resp)
+					if err != nil || writeAll(conn, frame) != nil {
 						return
 					}
 				}
@@ -191,6 +197,11 @@ func misreplyingNode(t *testing.T, badID func(req nearestRequest) uint64) (addr 
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
+}
+
+func writeAll(conn net.Conn, b []byte) error {
+	_, err := conn.Write(b)
+	return err
 }
 
 // TestUnmatchedReplyFailsConnection: a reply whose ID matches no pending
@@ -233,5 +244,47 @@ func TestUnmatchedReplyFailsConnection(t *testing.T) {
 				t.Errorf("reconnects = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// bigIndex answers every query with m results whose IDs are all id.
+type bigIndex struct{ id string }
+
+func (b bigIndex) Nearest(feat []float64, m int) []Result {
+	rs := make([]Result, m)
+	for i := range rs {
+		rs[i].ID = b.id
+	}
+	return rs
+}
+
+func (bigIndex) Size() int { return 1 << 20 }
+func (bigIndex) Dim() int  { return 1 }
+
+// TestOverLimitFramesCostOneCall: a reply past the frame limit (an absurd
+// m on a large index) is refused as ErrBadRequest, and a request past it is
+// refused before it is sent. Neither costs the connection.
+func TestOverLimitFramesCostOneCall(t *testing.T) {
+	srv, err := ServeNode("127.0.0.1:0", bigIndex{id: strings.Repeat("x", 1<<20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr, err := DialNode(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := tr.Nearest([]float64{1}, maxFrame>>20+1); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("over-limit reply: err = %v, want ErrBadRequest", err)
+	}
+	if _, err := tr.Nearest(make([]float64, maxFrame/8+1), 1); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("over-limit request: err = %v, want ErrBadRequest", err)
+	}
+	if rs, err := tr.Nearest([]float64{1}, 2); err != nil || len(rs) != 2 {
+		t.Errorf("call after over-limit frames = %d results, %v", len(rs), err)
+	}
+	if n := tr.Reconnects(); n != 0 {
+		t.Errorf("%d reconnects: an over-limit frame must not cost the connection", n)
 	}
 }

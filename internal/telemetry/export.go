@@ -13,7 +13,7 @@ import (
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
 // shaped for JSON export (`/metrics.json`, expvar, `/fleet.json`) and for
-// cross-node aggregation (gob over the stats RPC, then Merge/MergeAll).
+// cross-node aggregation (JSON over the stats probe, then Merge/MergeAll).
 // JSON encoding emits map keys sorted, so two snapshots of equal state
 // marshal to identical bytes.
 type Snapshot struct {

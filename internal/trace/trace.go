@@ -33,10 +33,10 @@ package trace
 import "sync"
 
 // Context identifies a span for cross-process propagation: it is the
-// payload carried over the retrieval wire protocol so a data node's
-// server-side spans parent correctly under the coordinator's. All fields
-// are exported for encoding/gob; the zero Context means "no active span"
-// and is omitted from the wire entirely.
+// payload carried over the retrieval wire frame so a data node's
+// server-side spans parent correctly under the coordinator's. A Context
+// without a span (not Valid) means "no active span" and is omitted from
+// the frame entirely.
 type Context struct {
 	// TraceID names the originating tracer's trace.
 	TraceID string
