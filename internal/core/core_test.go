@@ -13,6 +13,7 @@ import (
 	"duo/internal/nn/losses"
 	"duo/internal/retrieval"
 	"duo/internal/surrogate"
+	"duo/internal/trace"
 	"duo/internal/video"
 )
 
@@ -128,6 +129,68 @@ func TestSparseTransferMovesTowardTarget(t *testing.T) {
 	after := models.Embed(f.surr, adv).SquaredDistance(tf)
 	if after >= before {
 		t.Errorf("surrogate feature distance did not shrink: %g → %g", before, after)
+	}
+}
+
+// decoratedModel embeds a Model the way bench's tracing decorators do, so
+// models.BackwardFrames cannot see the graph behind it.
+type decoratedModel struct{ models.Model }
+
+// TestSparseTransferSameBitsThroughDecorator pins that the frame-restricted
+// surrogate gradient changes no bit of Algorithm 1: a frozen C3D and
+// ResNet18, which take the restricted backward, return the same masks, θ
+// and loss as the same models behind a decorator, which take the full one.
+// The returned θ may come from outer iteration 1, where every step takes
+// the full gradient, so the Eq. 1 loss each transfer.theta span records
+// after its restricted steps is compared too.
+func TestSparseTransferSameBitsThroughDecorator(t *testing.T) {
+	f := getFixture(t)
+	run := func(s models.Model, cfg TransferConfig) (*Masks, []float64) {
+		t.Helper()
+		tr := trace.New("same-bits")
+		m, err := sparseTransfer(tr, nil, s, f.origin, f.target, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var losses []float64
+		for _, r := range tr.Records() {
+			if l, ok := r.Float("loss"); ok && r.Name == "transfer.theta" {
+				losses = append(losses, l)
+			}
+		}
+		return m, losses
+	}
+	for _, name := range []string{"C3D", "Resnet18"} {
+		s, err := models.Build(name, rand.New(rand.NewSource(34)), f.geom, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models.Freeze(s)
+		for _, norm := range []NormConstraint{NormLInf, NormL2} {
+			cfg := DefaultTransferConfig(f.geom)
+			cfg.Norm, cfg.Tol = norm, 0
+			bare, bareLosses := run(s, cfg)
+			dec, decLosses := run(decoratedModel{s}, cfg)
+			if len(bareLosses) != cfg.OuterIters {
+				t.Fatalf("%s: %d transfer.theta losses, want %d", name, len(bareLosses), cfg.OuterIters)
+			}
+			for _, p := range []struct {
+				what string
+				a, b []float64
+			}{
+				{"ℐ", bare.Pixel.Data(), dec.Pixel.Data()},
+				{"𝓕", bare.Frame.Data(), dec.Frame.Data()},
+				{"θ", bare.Theta.Data(), dec.Theta.Data()},
+				{"loss", []float64{bare.Loss}, []float64{dec.Loss}},
+				{"θ-stage loss", bareLosses, decLosses},
+			} {
+				for i := range p.a {
+					if math.Float64bits(p.a[i]) != math.Float64bits(p.b[i]) {
+						t.Fatalf("%s norm=%d: %s[%d] = %v bare, %v decorated", name, norm, p.what, i, p.a[i], p.b[i])
+					}
+				}
+			}
+		}
 	}
 }
 

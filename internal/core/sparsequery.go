@@ -11,13 +11,6 @@ import (
 	"duo/internal/video"
 )
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BasisType selects the search basis of SparseQuery's coordinate descent.
 // The zero value is the paper's Cartesian basis (Eq. 4).
 type BasisType int

@@ -214,34 +214,41 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 	if untargeted {
 		sign = -1
 	}
-	// Scratch owned by this call: φ, v ⊕ φ, the θ update and the ℐ-step
+	// Scratch owned by this call: v ⊕ φ, the θ update and the ℐ-step
 	// scores are rewritten in place every step.
-	phi := tensor.New(shape...)
 	adv := tensor.New(shape...)
 	upd := tensor.New(shape...)
 	scoreData := make([]float64, elems)
 	vd, pd, fd := v.Data.Data(), m.Pixel.Data(), m.Frame.Data()
+	// onFrames marks 𝓕's frames once the 𝓕-step has run; it stays nil
+	// while 𝓕 = 1 (line 1) or n covers every frame.
+	var onFrames []bool
 
 	// evalLoss returns Eq. (1) at the current masks and θ and, when
-	// withGrad is set, its gradient with respect to the adversarial pixels.
-	evalLoss := func(withGrad bool) (float64, *tensor.Tensor) {
-		td, phd, ad := m.Theta.Data(), phi.Data(), adv.Data()
-		for i := range phd {
-			phd[i] = td[i] * pd[i] * fd[i]
-			ad[i] = vd[i] + phd[i]
+	// withGrad is set, its gradient with respect to the adversarial pixels:
+	// everywhere when keep is nil, else only on the frames keep marks (zero
+	// or complete on the others, see models.BackwardFrames).
+	evalLoss := func(withGrad bool, keep []bool) (float64, *tensor.Tensor) {
+		// One pass composes φ = ℐ⊙𝓕⊙θ, clamps v ⊕ φ to the pixel range
+		// and sums ‖φ‖² in index order.
+		td, ad := m.Theta.Data(), adv.Data()
+		reg := 0.0
+		for i, t := range td {
+			ph := t * pd[i] * fd[i]
+			ad[i] = max(video.PixelMin, min(video.PixelMax, vd[i]+ph))
+			reg += ph * ph
 		}
-		adv.ClampInPlace(video.PixelMin, video.PixelMax)
 		feat, cache := s.Forward(adv)
 		diff := feat.Sub(targetFeat)
 		// The regularizer is computed in normalized [0,1] pixel units so
 		// that λ=e⁻⁵ weighs it comparably to the unit-scale feature
 		// distance (as in the reference implementation).
-		loss := sign*diff.SquaredL2() + cfg.Lambda*phi.SquaredL2()*regScale
+		loss := sign*diff.SquaredL2() + cfg.Lambda*reg*regScale
 		if !withGrad {
 			return loss, nil
 		}
 		// dL/dfeat = ±2(feat − target); backprop to pixels.
-		return loss, s.Backward(cache, diff.Scale(2*sign))
+		return loss, models.BackwardFrames(s, cache, diff.Scale(2*sign), keep)
 	}
 
 	// Normalized fixed-size steps can oscillate across a narrow valley on
@@ -257,17 +264,37 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 	}
 
 	// thetaStep takes one projected, ‖·‖∞-normalized descent step on θ:
-	// dL/dθ = (dL/dv_adv + 2λθ) ⊙ ℐ ⊙ 𝓕.
+	// dL/dθ = (dL/dv_adv + 2λθ) ⊙ ℐ ⊙ 𝓕. It reads grad only on ℐ⊙𝓕.
 	regGrad := 2 * cfg.Lambda * regScale
 	thetaStep := func(grad *tensor.Tensor, lr float64) {
 		gd, td, ud := grad.Data(), m.Theta.Data(), upd.Data()
+		ni := 0.0 // ‖update‖∞, formed in the same pass
 		for i := range ud {
-			ud[i] = (gd[i] + td[i]*regGrad) * pd[i] * fd[i]
+			u := (gd[i] + td[i]*regGrad) * pd[i] * fd[i]
+			ud[i] = u
+			if a := math.Abs(u); a > ni {
+				ni = a
+			}
 		}
-		if ni := upd.LInf(); ni > 1e-12 {
-			m.Theta.AddScaled(-lr*cfg.Tau/ni, upd)
+		if cfg.Norm == NormL2 {
+			if ni > 1e-12 {
+				m.Theta.AddScaled(-lr*cfg.Tau/ni, upd)
+			}
+			projectL2(m.Theta, cfg)
+			return
 		}
-		projectTheta(m.Theta, cfg)
+		// ℓ∞: the step and the ±τ clamp in one pass.
+		tau := cfg.Tau
+		if ni <= 1e-12 {
+			for i, t := range td {
+				td[i] = max(-tau, min(tau, t))
+			}
+			return
+		}
+		a := -lr * cfg.Tau / ni
+		for i, u := range ud {
+			td[i] = max(-tau, min(tau, td[i]+a*u))
+		}
 	}
 
 	for it := 0; it < cfg.OuterIters; it++ {
@@ -282,7 +309,13 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 		thetaSp.SetInt("iter", int64(it))
 		var loss float64
 		for t := 0; t < cfg.ThetaSteps; t++ {
-			loss, lastGrad = evalLoss(true)
+			// The last step's gradient feeds the ℐ- and 𝓕-steps, which read
+			// every element; the others only feed thetaStep.
+			keep := onFrames
+			if t == cfg.ThetaSteps-1 {
+				keep = nil
+			}
+			loss, lastGrad = evalLoss(true, keep)
 			noteTheta(loss)
 			thetaStep(lastGrad, cfg.Schedule.At(step))
 			step++
@@ -319,6 +352,15 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 		for _, f := range top {
 			m.Frame.Slice(f).Fill(1)
 		}
+		if cfg.N < frames {
+			if onFrames == nil {
+				onFrames = make([]bool, frames)
+			}
+			clear(onFrames)
+			for _, f := range top {
+				onFrames[f] = true
+			}
+		}
 		frameSp.SetInt("n", int64(cfg.N))
 		frameSp.End()
 
@@ -334,13 +376,13 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 	// support.
 	polishSp := tr.Start(sp, "transfer.polish")
 	for t := 0; t < cfg.ThetaSteps; t++ {
-		loss, grad := evalLoss(true)
+		loss, grad := evalLoss(true, onFrames)
 		noteTheta(loss)
 		m.Loss = loss
 		thetaStep(grad, cfg.Schedule.At(step))
 		step++
 	}
-	loss, _ := evalLoss(false)
+	loss, _ := evalLoss(false, nil)
 	noteTheta(loss)
 	polishSp.End()
 	if bestLoss < math.Inf(1) {
@@ -362,23 +404,19 @@ func sparseTransfer(tr *trace.Tracer, parent *trace.Span, s models.Model, v, vt 
 	return m, nil
 }
 
-// projectTheta enforces the norm constraint of Eq. (1) on θ.
+// projectL2 enforces the ℓ2 variant of Eq. (1)'s norm constraint on θ
+// (Table IX); the ℓ∞ variant, every element clamped to ±τ, is fused into
+// thetaStep.
 //
-// The ℓ∞ variant clamps every element to ±τ. The ℓ2 variant (Table IX)
-// bounds the total perturbation energy instead: ‖θ‖₂ ≤ τ·√k/2, i.e. the
-// energy of an ℓ∞-budget perturbation at 50% average saturation.
+// The ℓ2 variant bounds the total perturbation energy: ‖θ‖₂ ≤ τ·√k/2,
+// i.e. the energy of an ℓ∞-budget perturbation at 50% average saturation.
 // Individual elements may exceed τ under ℓ2 (pixel-range feasibility is
 // enforced when the perturbation is applied), which is what distinguishes
 // the two rows of Table IX.
-func projectTheta(theta *tensor.Tensor, cfg TransferConfig) {
-	switch cfg.Norm {
-	case NormL2:
-		radius := cfg.Tau * math.Sqrt(float64(cfg.K)) / 2
-		if n := theta.L2(); n > radius {
-			theta.ScaleInPlace(radius / n)
-		}
-	default: // NormLInf
-		theta.ClampInPlace(-cfg.Tau, cfg.Tau)
+func projectL2(theta *tensor.Tensor, cfg TransferConfig) {
+	radius := cfg.Tau * math.Sqrt(float64(cfg.K)) / 2
+	if n := theta.L2(); n > radius {
+		theta.ScaleInPlace(radius / n)
 	}
 }
 

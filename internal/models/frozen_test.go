@@ -94,3 +94,64 @@ func TestFrozenModelRejectsTraining(t *testing.T) {
 		t.Error("a rejected training call changed the weights")
 	}
 }
+
+// decorated is the shape of a decorator: a struct embedding Model, which
+// BackwardFrames cannot see through.
+type decorated struct{ Model }
+
+// TestFrozenBackwardFramesMatchesFull pins BackwardFrames for every
+// architecture, frozen, at the benchmark's clip geometry and at the core
+// fixture's: on the kept frames dx carries Backward's bits, elsewhere it is
+// exactly zero, for frame sets from none to all. C3D, I3D and the ResNets
+// take the restricted input end; a decorator takes Backward and gets the
+// full dx.
+func TestFrozenBackwardFramesMatchesFull(t *testing.T) {
+	restricted := map[string]bool{"C3D": true, "I3D": true, "Resnet18": true, "Resnet34": true, "CNNLSTM": true}
+	for _, g := range []Geometry{{Frames: 16, Channels: 3, Height: 16, Width: 16}, tinyGeom} {
+		for _, name := range Names() {
+			rng := rand.New(rand.NewSource(41))
+			m, err := Build(name, rng, g, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Freeze(m)
+			x := tensor.RandUniform(rng, 0, 255, g.Frames, g.Channels, g.Height, g.Width)
+			grad := tensor.RandNormal(rng, 0, 1, m.FeatureDim())
+			_, c := m.Forward(x)
+			full := m.Backward(c, grad)
+			per := full.Len() / g.Frames
+
+			sets := [][]bool{make([]bool, g.Frames), make([]bool, g.Frames)}
+			for f := range sets[1] {
+				sets[1][f] = true
+			}
+			for i := 0; i < 3; i++ {
+				keep := make([]bool, g.Frames)
+				for f := range keep {
+					keep[f] = rng.Intn(2) == 0
+				}
+				sets = append(sets, keep)
+			}
+			for _, keep := range sets {
+				if _, ok := nn.BackwardFrames(m.(*netModel).net, c, grad, keep); ok != restricted[name] {
+					t.Errorf("%s %v: restricted path taken = %v, want %v", name, g, ok, restricted[name])
+				}
+				dx := BackwardFrames(m, c, grad, keep)
+				for f, k := range keep {
+					got, want := dx.Data()[f*per:(f+1)*per], full.Data()[f*per:(f+1)*per]
+					for i := range got {
+						if k && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s %v keep=%v: kept frame %d element %d = %v, Backward gives %v", name, g, keep, f, i, got[i], want[i])
+						}
+						if !k && math.Float64bits(got[i]) != 0 {
+							t.Fatalf("%s %v keep=%v: skipped frame %d element %d = %v, want +0", name, g, keep, f, i, got[i])
+						}
+					}
+				}
+				if dx := BackwardFrames(decorated{m}, c, grad, keep); !sameBits(full, dx) {
+					t.Errorf("%s %v keep=%v: a decorated model's dx differs from Backward's", name, g, keep)
+				}
+			}
+		}
+	}
+}

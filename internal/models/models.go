@@ -64,6 +64,32 @@ func (m *netModel) Backward(c nn.Cache, grad *tensor.Tensor) *tensor.Tensor {
 	return m.net.Backward(c, grad)
 }
 
+// BackwardFrames is m.Backward(c, grad) for a caller that reads the input
+// gradient on the frames keep marks only (one entry per frame; nil marks
+// every frame). On those frames dx carries Backward's bits. For a model
+// built by this package the other frames are zero, and a frozen C3D, I3D
+// or ResNet never computes them (see nn.BackwardFrames). Any other Model,
+// a decorator embedding one of ours included, runs its own Backward, whose
+// dx is complete.
+func BackwardFrames(m Model, c nn.Cache, grad *tensor.Tensor, keep []bool) *tensor.Tensor {
+	nm, ok := m.(*netModel)
+	if !ok || keep == nil {
+		return m.Backward(c, grad)
+	}
+	if dx, ok := nn.BackwardFrames(nm.net, c, grad, keep); ok {
+		return dx
+	}
+	dx := nm.net.Backward(c, grad)
+	dd := dx.Data()
+	per := len(dd) / len(keep)
+	for t, k := range keep {
+		if !k {
+			clear(dd[t*per : (t+1)*per])
+		}
+	}
+	return dx
+}
+
 // Instrument returns a model whose layer graph records per-layer
 // forward/backward wall times into r under "model.<name>"; a nil registry
 // returns m unchanged. The instrumented model shares the original's

@@ -62,13 +62,28 @@ func (d *convDims) forward(x, w, b, out []float64) {
 	rows := d.To * d.Ho
 	workers := d.workers()
 	if workers == 1 { // no closure, so no allocation
-		d.forwardRows(x, w, b, out, 0, rows)
+		d.forwardRange(x, w, b, out, 0, rows)
 		return
 	}
 	dd := *d // the shards capture a copy, so d stays off the heap
 	parallel.ForN(workers, rows, func(_, rs, re int) {
-		dd.forwardRows(x, w, b, out, rs, re)
+		dd.forwardRange(x, w, b, out, rs, re)
 	})
+}
+
+// forwardRange fills the output rows [rs, re) of every filter. When
+// F mod 4 = 2 the first F − 2 filters take forwardRows' four lanes and the
+// last two forwardPairs' two, instead of a four-lane block with two lanes
+// wasted.
+func (d *convDims) forwardRange(x, w, b, out []float64, rs, re int) {
+	if d.F%4 != 2 {
+		d.forwardRows(x, w, b, out, rs, re)
+		return
+	}
+	quads := *d
+	quads.F -= 2
+	quads.forwardRows(x, w, b, out, rs, re)
+	d.forwardPairs(x, w, b, out, rs, re)
 }
 
 // forwardRows fills the output rows (to, ho) for the positions [rs, re) of
@@ -147,6 +162,58 @@ func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
 	}
 }
 
+// forwardPairs fills the output rows [rs, re) of the last two filters with
+// forwardRows' per-element order, two register lanes wide.
+//
+//duolint:hot
+func (d *convDims) forwardPairs(x, w, b, out []float64, rs, re int) {
+	xsH := d.W
+	xsT := d.H * xsH
+	xsC := d.T * xsT
+	wsT := d.KH * d.KW
+	wsC := d.KT * wsT
+	wsF := d.C * wsC
+	plane := d.To * d.Ho * d.Wo
+	f := d.F - 2
+	w0, w1 := w[f*wsF:][:wsF], w[(f+1)*wsF:][:wsF]
+	for r := rs; r < re; r++ {
+		t0 := r/d.Ho*d.ST - d.PT
+		h0 := r%d.Ho*d.SH - d.PH
+		ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
+		khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
+		o0, o1 := out[f*plane+r*d.Wo:][:d.Wo], out[(f+1)*plane+r*d.Wo:][:d.Wo]
+		for wo := range o0 {
+			x0 := wo*d.SW - d.PW
+			kwLo, kwHi := max(0, -x0), min(d.KW, d.W-x0)
+			a0, a1 := b[f], b[f+1]
+			xc, wc := (t0+ktLo)*xsT+(h0+khLo)*xsH+x0+kwLo, ktLo*wsT+khLo*d.KW+kwLo
+			for c := 0; c < d.C; c, xc, wc = c+1, xc+xsC, wc+wsC {
+				for kt, xt, wt := ktLo, xc, wc; kt < ktHi; kt, xt, wt = kt+1, xt+xsT, wt+wsT {
+					for kh, xi, wi := khLo, xt, wt; kh < khHi; kh, xi, wi = kh+1, xi+xsH, wi+d.KW {
+						if kwHi-kwLo == 3 {
+							xs := x[xi : xi+3]
+							p0, p1 := w0[wi:wi+3], w1[wi:wi+3]
+							a0 += xs[0] * p0[0]
+							a1 += xs[0] * p1[0]
+							a0 += xs[1] * p0[1]
+							a1 += xs[1] * p1[1]
+							a0 += xs[2] * p0[2]
+							a1 += xs[2] * p1[2]
+							continue
+						}
+						for k := 0; k < kwHi-kwLo; k++ {
+							xv := x[xi+k]
+							a0 += xv * w0[wi+k]
+							a1 += xv * w1[wi+k]
+						}
+					}
+				}
+			}
+			o0[wo], o1[wo] = a0, a1
+		}
+	}
+}
+
 // backward accumulates W.Grad and B.Grad and fills dx (zero on entry). One
 // worker scatters all three in a single walk over the outputs; more workers
 // take two passes, each with a single writer per element, that deliver every
@@ -164,10 +231,29 @@ func (d *convDims) backward(x, w, g, dx, wg, bg []float64) {
 			d.scatterGrads(x, nil, g, nil, wg, bg, fs, fe)
 		})
 	}
+	d.gradInput(w, g, dx, nil)
+}
+
+// gradInput fills the dx rows of the input frames keep marks (every frame
+// when keep is nil) and leaves the other rows as they are, sharded over
+// those frames' row positions. Each row it fills gets the terms and the
+// bits the full dx pass gives it: rows are independent (see gradInputRows).
+func (d *convDims) gradInput(w, g, dx []float64, keep []bool) {
+	rows := d.T * d.H
+	var ts []int
+	if keep != nil {
+		ts = make([]int, 0, d.T)
+		for t, k := range keep {
+			if k {
+				ts = append(ts, t)
+			}
+		}
+		rows = len(ts) * d.H
+	}
 	tAt, tTaps := axisTaps(d.T, d.KT, d.ST, d.PT, d.To, d.KH*d.KW, d.Ho*d.Wo)
 	hAt, hTaps := axisTaps(d.H, d.KH, d.SH, d.PH, d.Ho, d.KW, d.Wo)
-	parallel.ForN(workers, d.T*d.H, func(_, rs, re int) {
-		d.gradInputRows(w, g, dx, tAt, tTaps, hAt, hTaps, rs, re)
+	parallel.ForN(d.workers(), rows, func(_, rs, re int) {
+		d.gradInputRows(w, g, dx, ts, tAt, tTaps, hAt, hTaps, rs, re)
 	})
 }
 
@@ -255,21 +341,27 @@ func axisTaps(n, kn, s, p, on, wStride, gStride int) (at []int, taps []convTap) 
 	return at, taps
 }
 
-// gradInputRows fills the dx rows (·, ti, hi) for the (ti, hi) pairs
-// [rs, re) of the T·H input row positions. Each dx element receives its
-// terms in ascending (f, to, ho, wo) order — the order a scatter over the
-// outputs delivers them — zero gradients skipped: every non-zero g reaching
-// the row position updates one contiguous kw run in each of the C channels.
+// gradInputRows fills the dx rows (·, ti, hi) for the positions [rs, re)
+// of the row positions (ti, hi) of the frames ts, or of all T·H row
+// positions when ts is nil. Each dx element receives its terms in ascending
+// (f, to, ho, wo) order — the order a scatter over the outputs delivers
+// them — zero gradients skipped: every non-zero g reaching the row position
+// updates one contiguous kw run in each of the C channels. No row reads
+// another, so filling a subset of the rows leaves each filled row's bits as
+// they are.
 //
 //duolint:hot
-func (d *convDims) gradInputRows(w, g, dx []float64, tAt []int, tTaps []convTap, hAt []int, hTaps []convTap, rs, re int) {
+func (d *convDims) gradInputRows(w, g, dx []float64, ts []int, tAt []int, tTaps []convTap, hAt []int, hTaps []convTap, rs, re int) {
 	wsC := d.KT * d.KH * d.KW
 	wsF := d.C * wsC
 	perF := d.To * d.Ho * d.Wo
 	xsC := d.T * d.H * d.W
 	for r := rs; r < re; r++ {
 		ti, hi := r/d.H, r%d.H
-		dxr := dx[r*d.W:]
+		if ts != nil {
+			ti = ts[ti]
+		}
+		dxr := dx[(ti*d.H+hi)*d.W:]
 		for f := 0; f < d.F; f++ {
 			for _, tt := range tTaps[tAt[ti]:tAt[ti+1]] {
 				for _, ht := range hTaps[hAt[hi]:hAt[hi+1]] {

@@ -231,8 +231,11 @@ func expectSameBits(t *testing.T, what string, want, got []float64) {
 // parallelThreshold, and compares output, dx, W.Grad and B.Grad bit for bit
 // with the reference loops. The upstream gradient carries exact zeros
 // (post-ReLU style) and the parameter gradients start non-zero, so both
-// the g == 0 skip and the accumulate-into-Grad contract are exercised.
-func checkConvKernels(t *testing.T, s convShape, seed int64) {
+// the g == 0 skip and the accumulate-into-Grad contract are exercised. A
+// frozen Conv3D then fills dx on the input frames whose bit is set in
+// frames (bit t mod 64 for frame t) only: those rows must match the
+// reference, the others must stay zero.
+func checkConvKernels(t *testing.T, s convShape, seed int64, frames uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	l3 := NewConv3DFull(rng, s.C, s.F, [3]int{s.KT, s.KH, s.KW}, [3]int{s.ST, s.SH, s.SW}, [3]int{s.PT, s.PH, s.PW})
@@ -285,6 +288,29 @@ func checkConvKernels(t *testing.T, s convShape, seed int64) {
 			}
 		}
 	}
+
+	keep := make([]bool, s.T)
+	for ti := range keep {
+		keep[ti] = frames>>(ti%64)&1 == 1
+	}
+	wantRows := make([]float64, len(wantDX))
+	plane := s.H * s.W
+	for i := range wantRows {
+		if keep[i/plane%s.T] {
+			wantRows[i] = wantDX[i]
+		}
+	}
+	frozen := *l3
+	frozen.W, frozen.B = &Param{Value: l3.W.Value}, &Param{Value: l3.B.Value}
+	for _, threshold := range []int{prevThreshold, 0} {
+		for _, workers := range []int{1, 2, 7} {
+			parallelThreshold = threshold
+			parallel.SetWorkers(workers)
+			_, cache := frozen.Forward(x3)
+			dx := frozen.backwardFrames(cache, g3, keep)
+			expectSameBits(t, fmt.Sprintf("conv3d %v frames %v workers=%d threshold=%d dx", s, keep, workers, threshold), wantRows, dx.Data())
+		}
+	}
 }
 
 // TestConvKernelsMatchReference is the bitwise differential test of the
@@ -294,25 +320,25 @@ func TestConvKernelsMatchReference(t *testing.T) {
 		if !s.valid() {
 			t.Fatalf("convShapes[%d] %v has an empty output", i, s)
 		}
-		checkConvKernels(t, s, int64(1000+i))
+		checkConvKernels(t, s, int64(1000+i), uint64(0x5a5a5a5a)>>(i%4))
 	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 150; i++ {
-		checkConvKernels(t, randomConvShape(rng), int64(2000+i))
+		checkConvKernels(t, randomConvShape(rng), int64(2000+i), uint64(2000+i)*0x9e3779b97f4a7c15)
 	}
 	rng = rand.New(rand.NewSource(78))
 	for i := 0; i < 100; i++ {
-		checkConvKernels(t, randomWideConvShape(rng), int64(3000+i))
+		checkConvKernels(t, randomWideConvShape(rng), int64(3000+i), uint64(3000+i)*0x9e3779b97f4a7c15)
 	}
 }
 
-// FuzzConvKernelsMatchReference lets the fuzzer pick the geometry; the
-// seeds are the named corners above.
+// FuzzConvKernelsMatchReference lets the fuzzer pick the geometry and the
+// frame set of the restricted dx; the seeds are the named corners above.
 func FuzzConvKernelsMatchReference(f *testing.F) {
 	for i, s := range convShapes {
-		f.Add(s.C, s.F, s.T, s.H, s.W, s.KT, s.KH, s.KW, s.ST, s.SH, s.SW, s.PT, s.PH, s.PW, int64(i))
+		f.Add(s.C, s.F, s.T, s.H, s.W, s.KT, s.KH, s.KW, s.ST, s.SH, s.SW, s.PT, s.PH, s.PW, int64(i), uint64(i)*0x9e3779b97f4a7c15)
 	}
-	f.Fuzz(func(t *testing.T, c, fo, ti, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw int, seed int64) {
+	f.Fuzz(func(t *testing.T, c, fo, ti, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw int, seed int64, frames uint64) {
 		// Fold arbitrary ints into small positive extents (pads may be 0).
 		fold := func(v, lo, n int) int {
 			if v < 0 {
@@ -330,7 +356,7 @@ func FuzzConvKernelsMatchReference(f *testing.F) {
 		if !s.valid() {
 			t.Skip("empty output")
 		}
-		checkConvKernels(t, s, seed)
+		checkConvKernels(t, s, seed, frames)
 	})
 }
 

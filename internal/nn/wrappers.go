@@ -48,7 +48,7 @@ var _ Layer = (*TimeDistributed)(nil)
 
 type timeDistCache struct {
 	caches []Cache
-	n      int
+	shape  []int
 }
 
 // Forward implements Layer.
@@ -67,19 +67,26 @@ func (l *TimeDistributed) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 		}
 		out.Slice(i).CopyFrom(y)
 	}
-	return out, &timeDistCache{caches: caches, n: n}
+	return out, &timeDistCache{caches: caches, shape: x.Shape()}
 }
 
 // Backward implements Layer.
 func (l *TimeDistributed) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.backwardFrames(c, gradOut, nil)
+}
+
+// backwardFrames is Backward on the slices keep marks (all of them when keep
+// is nil); the other slices of dx stay zero.
+func (l *TimeDistributed) backwardFrames(c Cache, gradOut *tensor.Tensor, keep []bool) *tensor.Tensor {
 	tc := c.(*timeDistCache)
-	var dx *tensor.Tensor
-	for i := 0; i < tc.n; i++ {
-		di := l.Inner.Backward(tc.caches[i], gradOut.Slice(i))
-		if dx == nil {
-			dx = tensor.New(append([]int{tc.n}, di.Shape()...)...)
+	if keep != nil && len(keep) != len(tc.caches) {
+		panic(fmt.Sprintf("nn: TimeDistributed.backwardFrames: %d frame flags for %d slices", len(keep), len(tc.caches)))
+	}
+	dx := tensor.New(tc.shape...)
+	for i, ci := range tc.caches {
+		if keep == nil || keep[i] {
+			dx.Slice(i).CopyFrom(l.Inner.Backward(ci, gradOut.Slice(i)))
 		}
-		dx.Slice(i).CopyFrom(di)
 	}
 	return dx
 }

@@ -55,9 +55,9 @@ func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
 
 // Scale returns s * t.
 func (t *Tensor) Scale(s float64) *Tensor {
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] *= s
+	out := New(t.shape...)
+	for i, v := range t.data {
+		out.data[i] = v * s
 	}
 	return out
 }
@@ -96,14 +96,23 @@ func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
 	return t
 }
 
-// Clamp returns a copy with every element limited to [lo, hi].
+// Clamp returns a copy with every element limited to [lo, hi]. The builtin
+// min and max give math.Min's and math.Max's results on ±0 and ±Inf and a
+// NaN for a NaN, and inline.
 func (t *Tensor) Clamp(lo, hi float64) *Tensor {
-	return t.Apply(func(v float64) float64 { return math.Max(lo, math.Min(hi, v)) })
+	out := New(t.shape...)
+	for i, v := range t.data {
+		out.data[i] = max(lo, min(hi, v))
+	}
+	return out
 }
 
 // ClampInPlace limits every element to [lo, hi] in place and returns t.
 func (t *Tensor) ClampInPlace(lo, hi float64) *Tensor {
-	return t.ApplyInPlace(func(v float64) float64 { return math.Max(lo, math.Min(hi, v)) })
+	for i, v := range t.data {
+		t.data[i] = max(lo, min(hi, v))
+	}
+	return t
 }
 
 // Sum returns the sum of all elements.

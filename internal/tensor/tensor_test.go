@@ -162,6 +162,35 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// TestClampBuiltinMatchesMath pins the clamp Clamp and ClampInPlace use,
+// max(lo, min(hi, v)) with the builtins, to math.Max(lo, math.Min(hi, v))
+// bit for bit on signed zeros, infinities and the bounds themselves. A NaN
+// stays a NaN; its payload is not pinned, since the builtins return
+// whichever NaN the hardware produces and math.Max a canonical one.
+func TestClampBuiltinMatchesMath(t *testing.T) {
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	bounds := [][2]float64{{-1, 1}, {0, 255}, {negZero, 0}, {0, negZero}, {negZero, negZero}, {-inf, inf}, {-40, 40}, {2, 2}}
+	vals := []float64{nan, 0, negZero, inf, -inf, 1, -1, 255, 256, -0.5, 0.5, 40, -40, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	for _, b := range bounds {
+		lo, hi := b[0], b[1]
+		for _, v := range vals {
+			want := math.Max(lo, math.Min(hi, v))
+			same := func(got float64) bool {
+				if math.IsNaN(want) {
+					return math.IsNaN(got)
+				}
+				return math.Float64bits(got) == math.Float64bits(want)
+			}
+			if got := From([]float64{v}, 1).ClampInPlace(lo, hi).At(0); !same(got) {
+				t.Errorf("ClampInPlace(%v, %v) of %v = %v (%#x), math gives %v (%#x)", lo, hi, v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got := From([]float64{v}, 1).Clamp(lo, hi).At(0); !same(got) {
+				t.Errorf("Clamp(%v, %v) of %v = %v, math gives %v", lo, hi, v, got, want)
+			}
+		}
+	}
+}
+
 func TestReductions(t *testing.T) {
 	a := From([]float64{1, -2, 3, -4}, 4)
 	if got := a.Sum(); got != -2 {
