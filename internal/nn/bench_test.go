@@ -43,6 +43,48 @@ func BenchmarkConv3DBackward(b *testing.B) {
 			}
 		})
 	}
+	// The attack's dx: frozen layers and a g that is zero wherever the
+	// ReLU above would be, here half of it. frozen_frames is C3D's conv1
+	// restricted to alternate frames, frozen_conv2 its second layer.
+	b.Run("frozen_frames", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(8))
+		l := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
+		freeze(l)
+		y, cache := l.Forward(tensor.RandNormal(rng, 0, 1, 3, 16, 16, 16))
+		g := halfZero(tensor.RandNormal(rng, 0, 1, y.Shape()...))
+		keep := make([]bool, 16)
+		for ti := range keep {
+			keep[ti] = ti%2 == 0
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = l.backwardFrames(cache, g, keep)
+		}
+	})
+	b.Run("frozen_conv2", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(9))
+		l := NewConv3D(rng, 6, 12, 3, 2)
+		freeze(l)
+		y, cache := l.Forward(tensor.RandNormal(rng, 0, 1, 6, 16, 8, 8))
+		g := halfZero(tensor.RandNormal(rng, 0, 1, y.Shape()...))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = l.Backward(cache, g)
+		}
+	})
+}
+
+// halfZero zeroes g's negative elements, about half of a normal sample.
+func halfZero(g *tensor.Tensor) *tensor.Tensor {
+	d := g.Data()
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
+		}
+	}
+	return g
 }
 
 func BenchmarkConv2DForward(b *testing.B) {

@@ -86,64 +86,105 @@ func (d *convDims) forwardRange(x, w, b, out []float64, rs, re int) {
 	d.forwardPairs(x, w, b, out, rs, re)
 }
 
-// forwardRows fills the output rows (to, ho) for the positions [rs, re) of
-// the To·Ho output rows, four filters at a time: each output element of the
-// four is accumulated in a register, from its bias through its in-bounds
-// taps in (c, kt, kh, kw) order, so every x load feeds four independent add
-// chains. A short last block (F mod 4 ≠ 0) points its empty lanes at the
-// last filter and discards their results.
-//
-//duolint:hot
-func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
+// maxStackTaps is the number of taps a kernel's per-row tap table holds on
+// the stack. A forward row has up to C·KT·KH taps and a dx row up to KT·KH;
+// no registered model has more than 54. A layer with more gets one heap
+// table per kernel call.
+const maxStackTaps = 64
+
+// tapTable returns an empty tap list with room for n taps, in buf when n
+// fits.
+func tapTable[T any](buf *[maxStackTaps]T, n int) []T {
+	if n <= len(buf) {
+		return buf[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// rowTap is one in-bounds (c, kt, kh) kernel row of a forward output row:
+// the flat offset of its input row at column 0 and of its kernel row in one
+// filter's weights.
+type rowTap struct{ x, w int }
+
+// rowTaps lists output row r's in-bounds (c, kt, kh) kernel rows in
+// ascending (c, kt, kh) order, the order each output element of the row
+// takes its terms in.
+func (d *convDims) rowTaps(taps []rowTap, r int) []rowTap {
 	xsH := d.W
 	xsT := d.H * xsH
 	xsC := d.T * xsT
 	wsT := d.KH * d.KW
 	wsC := d.KT * wsT
-	wsF := d.C * wsC
+	t0 := r/d.Ho*d.ST - d.PT
+	h0 := r%d.Ho*d.SH - d.PH
+	ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
+	khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
+	taps = taps[:0]
+	for c := 0; c < d.C; c++ {
+		for kt := ktLo; kt < ktHi; kt++ {
+			for kh := khLo; kh < khHi; kh++ {
+				taps = append(taps, rowTap{x: c*xsC + (t0+kt)*xsT + (h0+kh)*xsH, w: c*wsC + kt*wsT + kh*d.KW})
+			}
+		}
+	}
+	return taps
+}
+
+// forwardRows fills the output rows (to, ho) for the positions [rs, re) of
+// the To·Ho output rows, four filters at a time: each output element of the
+// four is accumulated in a register, from its bias through its in-bounds
+// taps in (c, kt, kh, kw) order, so every x load feeds four independent add
+// chains. The row's (c, kt, kh) kernel rows come from its tap table, so each
+// column walks one flat list. A short last block (F mod 4 ≠ 0) points its
+// empty lanes at the last filter and discards their results.
+//
+//duolint:hot
+func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
+	wsF := d.C * d.KT * d.KH * d.KW
 	plane := d.To * d.Ho * d.Wo
 	last := d.F - 1
+	var buf [maxStackTaps]rowTap
+	taps := tapTable(&buf, d.C*d.KT*d.KH)
 	for r := rs; r < re; r++ {
-		t0 := r/d.Ho*d.ST - d.PT
-		h0 := r%d.Ho*d.SH - d.PH
-		ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
-		khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
+		taps = d.rowTaps(taps, r)
 		for f := 0; f < d.F; f += 4 {
 			f1, f2, f3 := min(f+1, last), min(f+2, last), min(f+3, last)
-			w0, w1, w2, w3 := w[f*wsF:][:wsF], w[f1*wsF:][:wsF], w[f2*wsF:][:wsF], w[f3*wsF:][:wsF]
+			// Every lane's capacity is wsF, so the bounds check of w0's
+			// kernel-row slice covers the other lanes' too.
+			w0, w1, w2, w3 := w[f*wsF:][:wsF:wsF], w[f1*wsF:][:wsF:wsF], w[f2*wsF:][:wsF:wsF], w[f3*wsF:][:wsF:wsF]
 			orow := out[f*plane+r*d.Wo:][:d.Wo]
 			for wo := range orow {
 				x0 := wo*d.SW - d.PW
 				kwLo, kwHi := max(0, -x0), min(d.KW, d.W-x0)
 				a0, a1, a2, a3 := b[f], b[f1], b[f2], b[f3]
-				xc, wc := (t0+ktLo)*xsT+(h0+khLo)*xsH+x0+kwLo, ktLo*wsT+khLo*d.KW+kwLo
-				for c := 0; c < d.C; c, xc, wc = c+1, xc+xsC, wc+wsC {
-					for kt, xt, wt := ktLo, xc, wc; kt < ktHi; kt, xt, wt = kt+1, xt+xsT, wt+wsT {
-						for kh, xi, wi := khLo, xt, wt; kh < khHi; kh, xi, wi = kh+1, xi+xsH, wi+d.KW {
-							if kwHi-kwLo == 3 {
-								xs := x[xi : xi+3]
-								p0, p1, p2, p3 := w0[wi:wi+3], w1[wi:wi+3], w2[wi:wi+3], w3[wi:wi+3]
-								a0 += xs[0] * p0[0]
-								a1 += xs[0] * p1[0]
-								a2 += xs[0] * p2[0]
-								a3 += xs[0] * p3[0]
-								a0 += xs[1] * p0[1]
-								a1 += xs[1] * p1[1]
-								a2 += xs[1] * p2[1]
-								a3 += xs[1] * p3[1]
-								a0 += xs[2] * p0[2]
-								a1 += xs[2] * p1[2]
-								a2 += xs[2] * p2[2]
-								a3 += xs[2] * p3[2]
-								continue
-							}
-							for k := 0; k < kwHi-kwLo; k++ {
-								xv := x[xi+k]
-								a0 += xv * w0[wi+k]
-								a1 += xv * w1[wi+k]
-								a2 += xv * w2[wi+k]
-								a3 += xv * w3[wi+k]
-							}
+				switch n := kwHi - kwLo; {
+				case n == 3:
+					for _, tp := range taps {
+						xs := x[tp.x+x0+kwLo:][:3]
+						wi := tp.w + kwLo
+						p0, p1, p2, p3 := w0[wi:wi+3], w1[wi:wi+3], w2[wi:wi+3], w3[wi:wi+3]
+						a0 += xs[0] * p0[0]
+						a1 += xs[0] * p1[0]
+						a2 += xs[0] * p2[0]
+						a3 += xs[0] * p3[0]
+						a0 += xs[1] * p0[1]
+						a1 += xs[1] * p1[1]
+						a2 += xs[1] * p2[1]
+						a3 += xs[1] * p3[1]
+						a0 += xs[2] * p0[2]
+						a1 += xs[2] * p1[2]
+						a2 += xs[2] * p2[2]
+						a3 += xs[2] * p3[2]
+					}
+				case n > 0: // an edge column; n ≤ 0 reaches no input
+					for _, tp := range taps {
+						wi := tp.w + kwLo
+						p0, p1, p2, p3 := w0[wi:wi+n], w1[wi:wi+n], w2[wi:wi+n], w3[wi:wi+n]
+						for k, xv := range x[tp.x+x0+kwLo:][:n] {
+							a0 += xv * p0[k]
+							a1 += xv * p1[k]
+							a2 += xv * p2[k]
+							a3 += xv * p3[k]
 						}
 					}
 				}
@@ -167,45 +208,39 @@ func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
 //
 //duolint:hot
 func (d *convDims) forwardPairs(x, w, b, out []float64, rs, re int) {
-	xsH := d.W
-	xsT := d.H * xsH
-	xsC := d.T * xsT
-	wsT := d.KH * d.KW
-	wsC := d.KT * wsT
-	wsF := d.C * wsC
+	wsF := d.C * d.KT * d.KH * d.KW
 	plane := d.To * d.Ho * d.Wo
 	f := d.F - 2
-	w0, w1 := w[f*wsF:][:wsF], w[(f+1)*wsF:][:wsF]
+	w0, w1 := w[f*wsF:][:wsF:wsF], w[(f+1)*wsF:][:wsF:wsF]
+	var buf [maxStackTaps]rowTap
+	taps := tapTable(&buf, d.C*d.KT*d.KH)
 	for r := rs; r < re; r++ {
-		t0 := r/d.Ho*d.ST - d.PT
-		h0 := r%d.Ho*d.SH - d.PH
-		ktLo, ktHi := max(0, -t0), min(d.KT, d.T-t0)
-		khLo, khHi := max(0, -h0), min(d.KH, d.H-h0)
+		taps = d.rowTaps(taps, r)
 		o0, o1 := out[f*plane+r*d.Wo:][:d.Wo], out[(f+1)*plane+r*d.Wo:][:d.Wo]
 		for wo := range o0 {
 			x0 := wo*d.SW - d.PW
 			kwLo, kwHi := max(0, -x0), min(d.KW, d.W-x0)
 			a0, a1 := b[f], b[f+1]
-			xc, wc := (t0+ktLo)*xsT+(h0+khLo)*xsH+x0+kwLo, ktLo*wsT+khLo*d.KW+kwLo
-			for c := 0; c < d.C; c, xc, wc = c+1, xc+xsC, wc+wsC {
-				for kt, xt, wt := ktLo, xc, wc; kt < ktHi; kt, xt, wt = kt+1, xt+xsT, wt+wsT {
-					for kh, xi, wi := khLo, xt, wt; kh < khHi; kh, xi, wi = kh+1, xi+xsH, wi+d.KW {
-						if kwHi-kwLo == 3 {
-							xs := x[xi : xi+3]
-							p0, p1 := w0[wi:wi+3], w1[wi:wi+3]
-							a0 += xs[0] * p0[0]
-							a1 += xs[0] * p1[0]
-							a0 += xs[1] * p0[1]
-							a1 += xs[1] * p1[1]
-							a0 += xs[2] * p0[2]
-							a1 += xs[2] * p1[2]
-							continue
-						}
-						for k := 0; k < kwHi-kwLo; k++ {
-							xv := x[xi+k]
-							a0 += xv * w0[wi+k]
-							a1 += xv * w1[wi+k]
-						}
+			switch n := kwHi - kwLo; {
+			case n == 3:
+				for _, tp := range taps {
+					xs := x[tp.x+x0+kwLo:][:3]
+					wi := tp.w + kwLo
+					p0, p1 := w0[wi:wi+3], w1[wi:wi+3]
+					a0 += xs[0] * p0[0]
+					a1 += xs[0] * p1[0]
+					a0 += xs[1] * p0[1]
+					a1 += xs[1] * p1[1]
+					a0 += xs[2] * p0[2]
+					a1 += xs[2] * p1[2]
+				}
+			case n > 0:
+				for _, tp := range taps {
+					wi := tp.w + kwLo
+					p0, p1 := w0[wi:wi+n], w1[wi:wi+n]
+					for k, xv := range x[tp.x+x0+kwLo:][:n] {
+						a0 += xv * p0[k]
+						a1 += xv * p1[k]
 					}
 				}
 			}
@@ -318,8 +353,9 @@ func (d *convDims) scatterGrads(x, w, g, dx, wg, bg []float64, fs, fe int) {
 }
 
 // convTap is one (kernel offset k, output index o) pair that reaches an
-// input index along one axis, stored as the flat offsets it adds to the
-// weight and the output-gradient addresses.
+// input index along one axis, or one (kt, to, kh, ho) that reaches an input
+// row, stored as the flat offsets it adds to the weight and the
+// output-gradient addresses.
 type convTap struct{ w, g int }
 
 // axisTaps lists, for every input index i in [0, n), the taps with
@@ -346,9 +382,10 @@ func axisTaps(n, kn, s, p, on, wStride, gStride int) (at []int, taps []convTap) 
 // positions when ts is nil. Each dx element receives its terms in ascending
 // (f, to, ho, wo) order — the order a scatter over the outputs delivers
 // them — zero gradients skipped: every non-zero g reaching the row position
-// updates one contiguous kw run in each of the C channels. No row reads
-// another, so filling a subset of the rows leaves each filled row's bits as
-// they are.
+// updates one contiguous kw run in each of the C channels. The row's
+// (kt, kh) taps are listed once, in tTaps × hTaps order (to, then ho,
+// ascending), and walked per filter. No row reads another, so filling a
+// subset of the rows leaves each filled row's bits as they are.
 //
 //duolint:hot
 func (d *convDims) gradInputRows(w, g, dx []float64, ts []int, tAt []int, tTaps []convTap, hAt []int, hTaps []convTap, rs, re int) {
@@ -356,25 +393,43 @@ func (d *convDims) gradInputRows(w, g, dx []float64, ts []int, tAt []int, tTaps 
 	wsF := d.C * wsC
 	perF := d.To * d.Ho * d.Wo
 	xsC := d.T * d.H * d.W
+	var buf [maxStackTaps]convTap
+	taps := tapTable(&buf, d.KT*d.KH)
 	for r := rs; r < re; r++ {
 		ti, hi := r/d.H, r%d.H
 		if ts != nil {
 			ti = ts[ti]
 		}
+		taps = taps[:0]
+		for _, tt := range tTaps[tAt[ti]:tAt[ti+1]] {
+			for _, ht := range hTaps[hAt[hi]:hAt[hi+1]] {
+				taps = append(taps, convTap{w: tt.w + ht.w, g: tt.g + ht.g})
+			}
+		}
 		dxr := dx[(ti*d.H+hi)*d.W:]
 		for f := 0; f < d.F; f++ {
-			for _, tt := range tTaps[tAt[ti]:tAt[ti+1]] {
-				for _, ht := range hTaps[hAt[hi]:hAt[hi+1]] {
-					wf := w[f*wsF+tt.w+ht.w:]
-					for wo, gv := range g[f*perF+tt.g+ht.g:][:d.Wo] {
-						if gv == 0 {
-							continue
+			wf, gf := w[f*wsF:][:wsF], g[f*perF:][:perF]
+			for _, tp := range taps {
+				wt := wf[tp.w:]
+				for wo, gv := range gf[tp.g:][:d.Wo] {
+					if gv == 0 {
+						continue
+					}
+					w0 := wo*d.SW - d.PW
+					kwLo, kwHi := max(0, -w0), min(d.KW, d.W-w0)
+					switch n := kwHi - kwLo; {
+					case n == 3:
+						for c, wi, xi := 0, kwLo, w0+kwLo; c < d.C; c, wi, xi = c+1, wi+wsC, xi+xsC {
+							xs, ws := dxr[xi:xi+3], wt[wi:wi+3]
+							xs[0] += gv * ws[0]
+							xs[1] += gv * ws[1]
+							xs[2] += gv * ws[2]
 						}
-						w0 := wo*d.SW - d.PW
-						kwLo, kwHi := max(0, -w0), min(d.KW, d.W-w0)
-						for c, wi, xi := 0, 0, w0; c < d.C; c, wi, xi = c+1, wi+wsC, xi+xsC {
-							for kw := kwLo; kw < kwHi; kw++ {
-								dxr[xi+kw] += gv * wf[wi+kw]
+					case n > 0: // an edge column; n ≤ 0 reaches no input
+						for c, wi, xi := 0, kwLo, w0+kwLo; c < d.C; c, wi, xi = c+1, wi+wsC, xi+xsC {
+							xs, ws := dxr[xi:xi+n], wt[wi:wi+n]
+							for k := range xs {
+								xs[k] += gv * ws[k]
 							}
 						}
 					}

@@ -185,6 +185,10 @@ var convShapes = []convShape{
 	{C: 2, F: 7, T: 4, H: 5, W: 5, KT: 2, KH: 3, KW: 5, ST: 2, SH: 1, SW: 1, PT: 0, PH: 1, PW: 2},
 	{C: 1, F: 8, T: 2, H: 4, W: 9, KT: 1, KH: 2, KW: 3, ST: 1, SH: 2, SW: 3, PT: 0, PH: 0, PW: 1},
 	{C: 2, F: 9, T: 3, H: 4, W: 4, KT: 3, KH: 3, KW: 3, ST: 1, SH: 1, SW: 1, PT: 2, PH: 2, PW: 2},
+	// more taps per row than the kernels' stack table holds: the forward's
+	// C·KT·KH (90), then the dx pass's KT·KH too (65)
+	{C: 6, F: 5, T: 4, H: 7, W: 7, KT: 3, KH: 5, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 2, PW: 1},
+	{C: 1, F: 2, T: 5, H: 13, W: 4, KT: 5, KH: 13, KW: 3, ST: 1, SH: 1, SW: 1, PT: 2, PH: 6, PW: 1},
 }
 
 // randomConvShape draws a small valid shape.
@@ -400,6 +404,39 @@ func TestConvForwardAllocs(t *testing.T) {
 		want := testing.AllocsPerRun(20, tc.output) + 1 // + the cache
 		if got := testing.AllocsPerRun(20, tc.run); got != want {
 			t.Errorf("%s: frozen Forward allocates %v times per call, want %v (output tensor + cache)", tc.name, got, want)
+		}
+	}
+}
+
+// TestConvBackwardAllocs pins a frozen Conv3D's dx pass, on one worker, at
+// the allocations it had before the kernels kept a per-row tap table: the
+// dx tensor plus seven (the per-axis tap lists, the pass's closure and the
+// geometry it captures), and one more for the kept-frame list of the
+// frame-restricted backward. The per-row table lives on the stack.
+func TestConvBackwardAllocs(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(62))
+	l := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
+	freeze(l)
+	x := tensor.RandNormal(rng, 0, 1, 3, 16, 16, 16)
+	y, cache := l.Forward(x)
+	g := tensor.RandNormal(rng, 0, 1, y.Shape()...)
+	keep := make([]bool, 16)
+	for ti := range keep {
+		keep[ti] = ti%2 == 0
+	}
+	dx := testing.AllocsPerRun(20, func() { tensor.New(3, 16, 16, 16) })
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"Backward", func() { l.Backward(cache, g) }, dx + 7},
+		{"backwardFrames", func() { l.backwardFrames(cache, g, keep) }, dx + 8},
+	} {
+		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
+			t.Errorf("frozen Conv3D %s allocates %v times per call, want %v", tc.name, got, tc.want)
 		}
 	}
 }
