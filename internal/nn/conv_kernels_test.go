@@ -412,7 +412,10 @@ func TestConvForwardAllocs(t *testing.T) {
 // the allocations it had before the kernels kept a per-row tap table: the
 // dx tensor plus seven (the per-axis tap lists, the pass's closure and the
 // geometry it captures), and one more for the kept-frame list of the
-// frame-restricted backward. The per-row table lives on the stack.
+// frame-restricted backward. The per-row table lives on the stack. A
+// trainable Conv3D on one worker scatters W.Grad, B.Grad and dx in one
+// walk (scatterGrads), which allocates nothing: its Backward costs the dx
+// tensor plus the copy of x's shape.
 func TestConvBackwardAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -426,17 +429,20 @@ func TestConvBackwardAllocs(t *testing.T) {
 	for ti := range keep {
 		keep[ti] = ti%2 == 0
 	}
+	tl := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
+	_, tcache := tl.Forward(x)
 	dx := testing.AllocsPerRun(20, func() { tensor.New(3, 16, 16, 16) })
 	for _, tc := range []struct {
 		name string
 		run  func()
 		want float64
 	}{
-		{"Backward", func() { l.Backward(cache, g) }, dx + 7},
-		{"backwardFrames", func() { l.backwardFrames(cache, g, keep) }, dx + 8},
+		{"frozen Backward", func() { l.Backward(cache, g) }, dx + 7},
+		{"frozen backwardFrames", func() { l.backwardFrames(cache, g, keep) }, dx + 8},
+		{"trainable Backward", func() { tl.Backward(tcache, g) }, dx + 1},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
-			t.Errorf("frozen Conv3D %s allocates %v times per call, want %v", tc.name, got, tc.want)
+			t.Errorf("Conv3D %s allocates %v times per call, want %v", tc.name, got, tc.want)
 		}
 	}
 }
