@@ -33,7 +33,6 @@ var fixtureCases = []struct {
 	{"gobsymmetry/wire", []*Analyzer{Gobsymmetry}},
 	{"gobsymmetry/naked", []*Analyzer{Gobsymmetry}},
 	{"directive/fix", []*Analyzer{Detrand}},
-	{"allocinloop/hot", []*Analyzer{Allocinloop}},
 }
 
 func TestAnalyzersOnFixtures(t *testing.T) {

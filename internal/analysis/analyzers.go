@@ -10,13 +10,12 @@ func All() []*Analyzer {
 		Billedquery,
 		Telemetryro,
 		Gobsymmetry,
-		Allocinloop,
 	}
 }
 
-// KnownRules returns the set of every rule name that may appear in a
-// //duolint:allow directive (all analyzers plus the directive pseudo-rule
-// is excluded: directive findings cannot be suppressed).
+// KnownRules returns the set of rule names a //duolint:allow directive may
+// name: every analyzer's name. The directive pseudo-rule is not among
+// them, since directive findings cannot be suppressed.
 func KnownRules() map[string]bool {
 	known := make(map[string]bool)
 	for _, a := range All() {

@@ -6,15 +6,10 @@ import (
 
 // This file is the control-flow-graph layer of the analyzer suite. It
 // lowers one function body (go/ast, structured control flow only) into
-// basic blocks with successor/predecessor edges, and derives the two
-// judgments the CFG-grade rules need:
-//
-//   - dominators (iterative dataflow over reverse post-order), used by
-//     billedquery's "the increment must dominate the victim call" check
-//     and by the natural-loop detection below;
-//   - forward must-analysis (allPathsBefore), the generalization that
-//     handles billing split across branches: a fact holds at an event iff
-//     EVERY entry path establishes it first.
+// basic blocks with successor/predecessor edges, and derives the one
+// judgment billedquery needs: a forward must-analysis (allPathsBefore)
+// that handles billing split across branches — a fact holds at an event
+// iff EVERY entry path establishes it first.
 //
 // The builder understands if/for/range/switch/type-switch/select,
 // break/continue (labeled and not), fallthrough, and return. goto is
@@ -307,134 +302,6 @@ func endsInFallthrough(body []ast.Stmt) bool {
 	}
 	br, ok := body[len(body)-1].(*ast.BranchStmt)
 	return ok && br.Tok.String() == "fallthrough"
-}
-
-// dominators returns idom[i] = immediate dominator block index of block i
-// (idom[entry] = entry; unreachable blocks get -1). Cooper/Harvey/Kennedy
-// iterative algorithm over reverse post-order.
-func (g *cfg) dominators() []int {
-	n := len(g.blocks)
-	// Reverse post-order.
-	order := make([]*cfgBlock, 0, n)
-	seen := make([]bool, n)
-	var dfs func(*cfgBlock)
-	dfs = func(b *cfgBlock) {
-		seen[b.idx] = true
-		for _, s := range b.succs {
-			if !seen[s.idx] {
-				dfs(s)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(g.entry)
-	// order is post-order; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range order {
-		rpoNum[b.idx] = i
-	}
-
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[g.entry.idx] = g.entry.idx
-	intersect := func(a, c int) int {
-		for a != c {
-			for rpoNum[a] > rpoNum[c] {
-				a = idom[a]
-			}
-			for rpoNum[c] > rpoNum[a] {
-				c = idom[c]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == g.entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range b.preds {
-				if idom[p.idx] == -1 {
-					continue // pred not yet processed / unreachable
-				}
-				if newIdom == -1 {
-					newIdom = p.idx
-				} else {
-					newIdom = intersect(p.idx, newIdom)
-				}
-			}
-			if newIdom != -1 && idom[b.idx] != newIdom {
-				idom[b.idx] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// dominates reports whether block a dominates block c under idom (every
-// path from entry to c passes through a). A block dominates itself.
-func dominates(idom []int, a, c int) bool {
-	if idom[c] == -1 {
-		return false // unreachable: vacuously no judgment
-	}
-	for {
-		if c == a {
-			return true
-		}
-		next := idom[c]
-		if next == c {
-			return false // reached entry
-		}
-		c = next
-	}
-}
-
-// loopBlocks returns the set of block indices inside at least one natural
-// loop: for every back edge u→v (v dominates u), the loop is v plus every
-// block reaching u without passing v.
-func (g *cfg) loopBlocks() map[int]bool {
-	idom := g.dominators()
-	in := make(map[int]bool)
-	for _, u := range g.blocks {
-		for _, v := range u.succs {
-			if !dominates(idom, v.idx, u.idx) {
-				continue // not a back edge
-			}
-			// Natural loop of back edge u→v.
-			if !in[v.idx] {
-				in[v.idx] = true
-			}
-			stack := []*cfgBlock{u}
-			for len(stack) > 0 {
-				b := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if in[b.idx] && b != u {
-					continue
-				}
-				if b.idx == v.idx {
-					continue
-				}
-				if !in[b.idx] {
-					in[b.idx] = true
-					for _, p := range b.preds {
-						stack = append(stack, p)
-					}
-				}
-			}
-		}
-	}
-	return in
 }
 
 // allPathsBefore runs the forward must-analysis billedquery needs: it

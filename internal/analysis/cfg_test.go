@@ -61,119 +61,44 @@ func TestCFGStraightLine(t *testing.T) {
 	if len(g.entry.events) != 3 {
 		t.Fatalf("entry events = %d, want 3", len(g.entry.events))
 	}
-	if loops := g.loopBlocks(); len(loops) != 0 {
-		t.Fatalf("straight-line code has loop blocks: %v", loops)
-	}
 }
 
-func TestCFGDominators(t *testing.T) {
-	// entry -> then/else -> join: the entry dominates everything; neither
-	// arm dominates the join.
-	g := buildCFG(parseBody(t, `
-a = 0
-if a > 0 {
-	b = 1
-} else {
-	b = 2
-}
-return b`))
-	idom := g.dominators()
-	var thenIdx, elseIdx, joinIdx = -1, -1, -1
-	for _, blk := range g.blocks {
-		for _, ev := range blk.events {
-			as, ok := ev.(*ast.AssignStmt)
-			if ok && len(as.Rhs) == 1 {
-				if lit, ok := as.Rhs[0].(*ast.BasicLit); ok {
-					switch lit.Value {
-					case "1":
-						thenIdx = blk.idx
-					case "2":
-						elseIdx = blk.idx
-					}
-				}
-			}
-			if _, ok := ev.(*ast.ReturnStmt); ok {
-				joinIdx = blk.idx
-			}
-		}
-	}
-	if thenIdx < 0 || elseIdx < 0 || joinIdx < 0 {
-		t.Fatalf("blocks not found: then=%d else=%d join=%d", thenIdx, elseIdx, joinIdx)
-	}
-	e := g.entry.idx
-	if !dominates(idom, e, thenIdx) || !dominates(idom, e, elseIdx) || !dominates(idom, e, joinIdx) {
-		t.Errorf("entry should dominate all blocks")
-	}
-	if dominates(idom, thenIdx, joinIdx) || dominates(idom, elseIdx, joinIdx) {
-		t.Errorf("neither branch arm may dominate the join")
-	}
-	if idom[joinIdx] != e {
-		t.Errorf("join's immediate dominator = %d, want entry %d", idom[joinIdx], e)
-	}
-}
-
-func TestCFGLoopBlocks(t *testing.T) {
-	g := buildCFG(parseBody(t, `
-a = 0
-for i := 0; i < b; i++ {
-	a += i
-}
-return a`))
-	loops := g.loopBlocks()
-	if len(loops) == 0 {
-		t.Fatalf("for loop produced no loop blocks")
-	}
-	inLoop := func(needle string) bool {
-		for _, blk := range g.blocks {
-			if !loops[blk.idx] {
-				continue
-			}
-			for _, ev := range blk.events {
-				if eventMatches(ev, needle) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if !inLoop("i") {
-		t.Errorf("loop body/latch events not inside loop blocks")
-	}
-	// The return after the loop must not be in the loop.
-	for _, blk := range g.blocks {
-		for _, ev := range blk.events {
-			if _, ok := ev.(*ast.ReturnStmt); ok && loops[blk.idx] {
-				t.Errorf("return after loop classified as loop block")
-			}
-		}
-	}
-}
-
+// TestCFGNestedAndRangeLoops runs allPathsBefore over a for loop nested in
+// a range loop: a bill at the top of the outer body precedes every inner
+// consume, while a bill after the inner loop leaves the first outer
+// iteration's consumes unbilled.
 func TestCFGNestedAndRangeLoops(t *testing.T) {
-	g := buildCFG(parseBody(t, `
+	cases := []struct {
+		name string
+		body string
+		want bool
+	}{
+		{"outer bill before inner consume", `
+total := 0
+for _, x := range xs {
+	bill()
+	for j := 0; j < x; j++ {
+		total += consume(j)
+	}
+}
+return total`, true},
+		{"inner consume before outer bill", `
 total := 0
 for _, x := range xs {
 	for j := 0; j < x; j++ {
-		total += j
+		total += consume(j)
 	}
+	bill()
 }
-return total`))
-	loops := g.loopBlocks()
-	found := false
-	for _, blk := range g.blocks {
-		if !loops[blk.idx] {
-			continue
-		}
-		for _, ev := range blk.events {
-			if eventMatches(ev, "total") {
-				if _, ok := ev.(*ast.ReturnStmt); !ok {
-					found = true
-				}
-			}
-		}
+return total`, false},
 	}
-	if !found {
-		t.Errorf("inner accumulation not recognized as loop work")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := allPaths(t, tc.body, "bill", "consume")
+			if len(got) != 1 || got[0] != tc.want {
+				t.Errorf("consume verdicts = %v, want [%v]", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func (o *oracle) positiveRefundIsNotBilling(q string) []string {
 	return o.victim.Retrieve(q, 5) // want `\[billedquery\] victim Retrieve call is not budget-billed`
 }
 
-// The cases below separate the CFG dominance check from the lexical
+// The cases below separate the CFG every-path check from the lexical
 // predecessor heuristic it replaced: billing must reach the call on EVERY
 // path, not merely appear earlier in the source.
 

@@ -45,7 +45,6 @@ type evolutionary struct{}
 
 func (evolutionary) Name() string { return StrategyEvolutionary }
 
-//duolint:hot
 func (evolutionary) Optimize(o *Oracle) error {
 	rng := o.Rng()
 	support := o.Support()
@@ -80,7 +79,6 @@ func (evolutionary) Optimize(o *Oracle) error {
 			freeGenomes = freeGenomes[:n-1]
 			return g
 		}
-		//duolint:allow allocinloop pool-miss path: recycled genomes cover the steady state
 		return make([]float64, len(support))
 	}
 
@@ -92,7 +90,6 @@ func (evolutionary) Optimize(o *Oracle) error {
 	pop = append(pop, genomeOf(o.Current().Data.Data()))
 	fit[0], known[0] = o.CurrentT(), true
 	for len(pop) < evoPopSize {
-		//duolint:allow allocinloop one-time population seeding, not a steady-state loop
 		g := make([]float64, len(support))
 		for i := range g {
 			g[i] = (rng.Float64()*2 - 1) * tau

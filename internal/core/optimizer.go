@@ -157,7 +157,8 @@ func (o *Oracle) Release(cand *video.Video) {
 	if cand == nil || cand == o.cur || cand == o.v || cand == o.vt {
 		return
 	}
-	//duolint:allow allocinloop spare stack grows to the high-water mark of in-flight candidates (≤ a handful) and then stays flat
+	// The spare stack grows to the high-water mark of in-flight candidates
+	// (≤ a handful) and then stays flat.
 	o.spares = append(o.spares, cand)
 }
 
@@ -237,7 +238,8 @@ func (o *Oracle) Accept(cand *video.Video, tNew float64) bool {
 // Record appends the current 𝕋 to the round trajectory (one entry per
 // strategy iteration) and to the telemetry ring.
 func (o *Oracle) Record() {
-	//duolint:allow allocinloop trajectory capacity is pre-sized to the query budget at round start; this append grows only on pathological no-query iterations
+	// The trajectory is pre-sized to the query budget at round start; this
+	// append grows only on pathological no-query iterations.
 	o.res.Trajectory = append(o.res.Trajectory, o.tCur)
 	o.telTraj.Push(o.tCur)
 }

@@ -244,7 +244,6 @@ type sparseQueryOpt struct{}
 
 func (sparseQueryOpt) Name() string { return StrategySparseQuery }
 
-//duolint:hot
 func (sparseQueryOpt) Optimize(o *Oracle) error {
 	cfg := o.cfg
 	v := o.v

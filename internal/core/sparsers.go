@@ -56,7 +56,6 @@ type sparseRS struct{}
 
 func (sparseRS) Name() string { return StrategySparseRS }
 
-//duolint:hot
 func (sparseRS) Optimize(o *Oracle) error {
 	rng := o.Rng()
 	support := o.Support()

@@ -137,8 +137,6 @@ func (d *convDims) rowTaps(taps []rowTap, r int) []rowTap {
 // chains. The row's (c, kt, kh) kernel rows come from its tap table, so each
 // column walks one flat list. A short last block (F mod 4 ≠ 0) points its
 // empty lanes at the last filter and discards their results.
-//
-//duolint:hot
 func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
 	wsF := d.C * d.KT * d.KH * d.KW
 	plane := d.To * d.Ho * d.Wo
@@ -205,8 +203,6 @@ func (d *convDims) forwardRows(x, w, b, out []float64, rs, re int) {
 
 // forwardPairs fills the output rows [rs, re) of the last two filters with
 // forwardRows' per-element order, two register lanes wide.
-//
-//duolint:hot
 func (d *convDims) forwardPairs(x, w, b, out []float64, rs, re int) {
 	wsF := d.C * d.KT * d.KH * d.KW
 	plane := d.To * d.Ho * d.Wo
@@ -298,8 +294,6 @@ func (d *convDims) gradInput(w, g, dx []float64, keep []bool) {
 // the C·KT·KH in-bounds kernel rows it reaches, one contiguous kw run each.
 // So each W.Grad and B.Grad element receives its terms in ascending
 // (to, ho, wo) order and each dx element in ascending (f, to, ho, wo) order.
-//
-//duolint:hot
 func (d *convDims) scatterGrads(x, w, g, dx, wg, bg []float64, fs, fe int) {
 	xsH := d.W
 	xsT := d.H * xsH
@@ -386,8 +380,6 @@ func axisTaps(n, kn, s, p, on, wStride, gStride int) (at []int, taps []convTap) 
 // (kt, kh) taps are listed once, in tTaps × hTaps order (to, then ho,
 // ascending), and walked per filter. No row reads another, so filling a
 // subset of the rows leaves each filled row's bits as they are.
-//
-//duolint:hot
 func (d *convDims) gradInputRows(w, g, dx []float64, ts []int, tAt []int, tTaps []convTap, hAt []int, hTaps []convTap, rs, re int) {
 	wsC := d.KT * d.KH * d.KW
 	wsF := d.C * wsC

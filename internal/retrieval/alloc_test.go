@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// This file pins the zero-allocation contracts that duolint's allocinloop
-// rule cannot see across package boundaries: the scan kernels promise that
-// with a warm scratch and a warm destination buffer a steady-state query
-// performs zero heap allocations, and these tests hold that promise at
-// exactly 0 allocs/op so a regression fails CI instead of showing up as a
+// This file pins the zero-allocation contracts of the scan kernels: with a
+// warm scratch and a warm destination buffer a steady-state query performs
+// zero heap allocations, and these tests hold that promise at exactly
+// 0 allocs/op so a regression fails CI instead of showing up as a
 // benchmark drift.
 
 // TestScanTopMIntoZeroAllocs pins gallery.topM at zero steady-state

@@ -167,8 +167,6 @@ func (sc *galleryScratch) l2Dist() func(i int) float64 {
 // every worker count; m is clamped to [0, size] before anything is
 // allocated. With a warm scratch and dst a single-worker scan performs
 // zero heap allocations.
-//
-//duolint:hot
 func (g *gallery) topM(dst []Result, q []float64, m, workers int, sc *galleryScratch) []Result {
 	g.checkQuery(q)
 	if n := g.size(); m > n {

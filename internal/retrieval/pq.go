@@ -323,8 +323,6 @@ func (ix *PQIndex) nearest(feat []float64, m, workers int) []Result {
 // sc.res (≥ m entries for m ≤ gallery size) and is valid until the next
 // select with the same scratch; with a warm scratch and telemetry
 // disabled it performs zero heap allocations.
-//
-//duolint:hot
 func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Result {
 	n := ix.g.size()
 

@@ -17,7 +17,7 @@ import (
 // IDs, so the output is bitwise-identical to a sequential sort-everything
 // scan at every worker count — the determinism contract of DESIGN.md §9.
 //
-// The kernel is //duolint:hot: nothing on the per-row path may allocate.
+// Nothing on the kernel's per-row path may allocate.
 // The single-worker path is fully sequential (no parallel.ForN closure,
 // whose escape to goroutines costs one heap allocation per scan) and
 // sorting uses slices.SortFunc (allocation-free, unlike sort.Slice which
@@ -74,8 +74,6 @@ func (ids rowOrder) less(a, b scored) bool { return ids.cmp(a, b) < 0 }
 
 // pushBounded inserts r into the bounded max-heap h (worst kept entry at
 // the root), retaining the m smallest entries under the order.
-//
-//duolint:hot
 func pushBounded(h []scored, r scored, m int, ids rowOrder) []scored {
 	if len(h) < m {
 		h = append(h, r)
@@ -150,8 +148,6 @@ func (sc *idxScratch) shards(w, m int) [][]scored {
 // closure passed here may be heap-allocated by the caller; allocation-free
 // callers keep a reusable closure alongside their scratch (see
 // galleryScratch, pqScratch).
-//
-//duolint:hot
 func scanTopMIdx(n, m, w int, dist func(i int) float64, ids rowOrder, sc *idxScratch) []scored {
 	if m > n {
 		m = n
