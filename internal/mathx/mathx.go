@@ -60,12 +60,3 @@ func Clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// Sigmoid returns 1/(1+exp(-x)).
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}

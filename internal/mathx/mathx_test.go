@@ -51,21 +51,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	if math.Abs(Sigmoid(0)-0.5) > 1e-12 {
-		t.Errorf("Sigmoid(0) = %g", Sigmoid(0))
-	}
-	if Sigmoid(100) < 0.999 || Sigmoid(-100) > 0.001 {
-		t.Error("Sigmoid saturation wrong")
-	}
-	// Stability at extreme negatives.
-	if v := Sigmoid(-1e6); math.IsNaN(v) || v != 0 {
-		if v > 1e-300 {
-			t.Errorf("Sigmoid(-1e6) = %g", v)
-		}
-	}
-}
-
 func TestPropSoftmaxProbabilities(t *testing.T) {
 	f := func(x []float64) bool {
 		if len(x) == 0 {
@@ -86,19 +71,6 @@ func TestPropSoftmaxProbabilities(t *testing.T) {
 			sum += v
 		}
 		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropSigmoidSymmetry(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-		x = math.Mod(x, 50)
-		return math.Abs(Sigmoid(x)+Sigmoid(-x)-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

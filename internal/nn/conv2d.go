@@ -72,7 +72,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 func (l *Conv2D) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.(*convCache).x
 	d := l.dims(x)
-	dx := tensor.New(x.Shape()...)
+	dx := tensor.New(d.C, d.H, d.W)
 	d.backward(x.Data(), l.W.Value.Data(), gradOut.Data(), dx.Data(), l.W.gradData(), l.B.gradData())
 	return dx
 }

@@ -415,7 +415,9 @@ func TestConvForwardAllocs(t *testing.T) {
 // frame-restricted backward. The per-row table lives on the stack. A
 // trainable Conv3D on one worker scatters W.Grad, B.Grad and dx in one
 // walk (scatterGrads), which allocates nothing: its Backward costs the dx
-// tensor plus the copy of x's shape.
+// tensor plus the geometry, which escapes to the heap. The dx tensor is
+// four allocations (header, shape, strides, data): the dims Backward
+// passes to tensor.New stay on its stack, and x's shape is not copied.
 func TestConvBackwardAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -432,6 +434,9 @@ func TestConvBackwardAllocs(t *testing.T) {
 	tl := NewConv3DFull(rng, 3, 6, [3]int{3, 3, 3}, [3]int{1, 2, 2}, [3]int{1, 1, 1})
 	_, tcache := tl.Forward(x)
 	dx := testing.AllocsPerRun(20, func() { tensor.New(3, 16, 16, 16) })
+	if dx != 4 {
+		t.Errorf("tensor.New allocates %v times per call, want 4", dx)
+	}
 	for _, tc := range []struct {
 		name string
 		run  func()

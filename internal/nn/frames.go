@@ -126,7 +126,7 @@ func (l *Conv3D) backwardFrames(c Cache, gradOut *tensor.Tensor, keep []bool) *t
 	if len(keep) != d.T {
 		panic(fmt.Sprintf("nn: Conv3D.backwardFrames: %d frame flags for %d frames", len(keep), d.T))
 	}
-	dx := tensor.New(x.Shape()...)
+	dx := tensor.New(d.C, d.T, d.H, d.W)
 	d.gradInput(l.W.Value.Data(), gradOut.Data(), dx.Data(), keep)
 	return dx
 }

@@ -48,14 +48,33 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 }
 
 // BenchmarkShardNearest measures the per-node scan of the distributed path
-// (single-threaded by design, pooled scratch).
+// (single-threaded by design, pooled scratch): a 1k-row gallery, one node
+// of the bench fleet (20k rows over 3 nodes, 32 dims), and the PQ code
+// scan plus re-rank over that fleet shard.
 func BenchmarkShardNearest(b *testing.B) {
-	s, feat := benchIndex(1000, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Nearest(feat, 10)
+	for _, c := range []struct{ n, dim int }{{1000, 64}, {6667, 32}} {
+		b.Run(fmt.Sprintf("exact/n=%d/dim=%d", c.n, c.dim), func(b *testing.B) {
+			s, feat := benchIndex(c.n, c.dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = s.Nearest(feat, 10)
+			}
+		})
 	}
+	b.Run("pq/n=6667/dim=32", func(b *testing.B) {
+		ids, labels, rows, feat := benchRows(6667, 32)
+		ix, err := NewPQIndex(ids, labels, rows, PQConfig{Subspaces: 8, Centroids: 64, Seed: 7, RerankDepth: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ix.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = ix.Nearest(feat, 10)
+		}
+	})
 }
 
 // allocsStable measures allocs/op with the garbage collector paused. The

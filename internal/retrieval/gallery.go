@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"duo/internal/models"
@@ -139,26 +138,46 @@ func l2sq(a, b []float64) float64 {
 	return s
 }
 
-// galleryScratch is the pooled per-query workspace of an exact scan. dist
-// is the row-scoring closure, created once per scratch and re-targeted per
-// query through the g/q fields — a closure built inside the query path
-// would escape into the scan's worker goroutines and heap-allocate on
-// every call.
-type galleryScratch struct {
-	idx  idxScratch
-	g    *gallery
-	q    []float64
-	dist func(i int) float64
+// l2sq4 is l2sq of a against four rows at once: each row keeps its own
+// accumulator and adds its terms in l2sq's order, so every sum has l2sq's
+// bits, while the four independent chains overlap in the pipeline. The
+// rows must be at least len(a) long.
+func l2sq4(a, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
+	for i, v := range a {
+		d0, d1, d2, d3 := v-r0[i], v-r1[i], v-r2[i], v-r3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
 }
 
-// l2Dist returns the scratch's reusable closure. Rows are ordered by the
-// rooted distance, not the squared one: sqrt is monotone but not injective
-// in float64, so selecting on squares could flip an ID tie-break.
-func (sc *galleryScratch) l2Dist() func(i int) float64 {
-	if sc.dist == nil {
-		sc.dist = func(i int) float64 { return math.Sqrt(l2sq(sc.q, sc.g.rows[i])) }
+// galleryScratch is the pooled per-query workspace of an exact scan,
+// re-targeted per query through the g/q fields. It is also the scan's
+// block scorer, so handing it to the kernel allocates nothing.
+type galleryScratch struct {
+	idx idxScratch
+	g   *gallery
+	q   []float64
+}
+
+// scoreBlock writes the squared distance of q to rows lo, lo+1, … into
+// keys, four rows per pass. The kernel roots the keys it keeps: rows are
+// ordered by the rooted distance, not the squared one, because sqrt is
+// monotone but not injective in float64, so selecting on squares could
+// flip an ID tie-break.
+func (sc *galleryScratch) scoreBlock(keys []float64, lo int) {
+	rows := sc.g.rows[lo : lo+len(keys)]
+	q := sc.q
+	for len(rows) >= 4 {
+		keys[0], keys[1], keys[2], keys[3] = l2sq4(q, rows[0], rows[1], rows[2], rows[3])
+		rows, keys = rows[4:], keys[4:]
 	}
-	return sc.dist
+	for j, r := range rows {
+		keys[j] = l2sq(q, r)
+	}
 }
 
 // topM writes the gallery's m nearest entries to q into dst (grown only
@@ -180,7 +199,7 @@ func (g *gallery) topM(dst []Result, q []float64, m, workers int, sc *galleryScr
 	}
 	dst = dst[:m]
 	sc.g, sc.q = g, q
-	for i, c := range scanTopMIdx(g.size(), m, workers, sc.l2Dist(), g.ids, &sc.idx) {
+	for i, c := range scanTopMIdx(g.size(), m, workers, sc, true, g.ids, &sc.idx) {
 		dst[i] = Result{ID: g.ids[c.row], Label: g.labels[c.row], Dist: c.dist}
 	}
 	return dst

@@ -33,7 +33,7 @@ func syntheticIndex(rng *rand.Rand, n int) (ids []string, labels []int, feats []
 func TestScanTopMMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	query := tensor.From([]float64{0.5}, 1)
-	for _, n := range []int{0, 1, 2, 3, 7, 10, 33} {
+	for _, n := range []int{0, 1, 2, 3, 7, 10, 33, 2*scanMinShard + 3} {
 		ids, labels, feats := syntheticIndex(rng, n)
 		for _, m := range []int{-1, 0, 1, 2, n / 2, n, n + 5, math.MaxInt} {
 			want := nearest(query, ids, labels, feats, m)

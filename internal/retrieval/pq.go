@@ -25,11 +25,6 @@ import (
 // database"); DESIGN.md §14 specifies the determinism contract and the
 // on-disk layout (persist.go).
 
-// pqScanMinShard is the minimum code rows per scan shard: below this the
-// per-row ADC work (nsub table lookups) is too cheap to amortize goroutine
-// fan-out.
-const pqScanMinShard = 1024
-
 // PQConfig parameterizes product-quantized index construction.
 type PQConfig struct {
 	// Subspaces is the number of code subspaces (1 ≤ Subspaces ≤ dim).
@@ -90,11 +85,9 @@ func resolvePQTel(r *telemetry.Registry) pqTel {
 }
 
 // pqScratch is the pooled per-query workspace: the ADC lookup table, the
-// candidate-selection scratch, and the re-rank buffer. dist is the ADC
-// row-scoring closure, created once per scratch and re-targeted per query
-// through the codes/lut fields — a closure built inside the query path
-// would escape into the scan's worker goroutines and heap-allocate on
-// every call.
+// candidate-selection scratch, and the re-rank buffer. It is also the code
+// scan's block scorer, re-targeted per query through the codes/lut
+// fields, so handing it to the kernel allocates nothing.
 type pqScratch struct {
 	lut []float64
 	idx idxScratch
@@ -102,24 +95,37 @@ type pqScratch struct {
 
 	codes   []byte
 	nsub, k int
-	dist    func(i int) float64
 }
 
-// adcDist returns the scratch's reusable row-scoring closure: the ADC
-// distance of row i is a fixed-order sum of nsub lookup-table cells.
-func (sc *pqScratch) adcDist() func(i int) float64 {
-	if sc.dist == nil {
-		sc.dist = func(i int) float64 {
-			s := 0.0
-			nsub := sc.nsub
-			lut := sc.lut
-			for sub, c := range sc.codes[i*nsub : (i+1)*nsub] {
-				s += lut[sub*sc.k+int(c)]
-			}
-			return s
+// scoreBlock writes the ADC distances of code rows lo, lo+1, … into keys,
+// four rows per pass: each row's distance is its own fixed-order sum of
+// nsub lookup-table cells, starting from 0.
+func (sc *pqScratch) scoreBlock(keys []float64, lo int) {
+	nsub, k, lut := sc.nsub, sc.k, sc.lut
+	codes := sc.codes[lo*nsub : (lo+len(keys))*nsub]
+	j := 0
+	for ; j+4 <= len(keys); j += 4 {
+		c0 := codes[j*nsub : (j+1)*nsub]
+		c1 := codes[(j+1)*nsub:][:len(c0)]
+		c2 := codes[(j+2)*nsub:][:len(c0)]
+		c3 := codes[(j+3)*nsub:][:len(c0)]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for sub, c := range c0 {
+			base := sub * k
+			s0 += lut[base+int(c)]
+			s1 += lut[base+int(c1[sub])]
+			s2 += lut[base+int(c2[sub])]
+			s3 += lut[base+int(c3[sub])]
 		}
+		keys[j], keys[j+1], keys[j+2], keys[j+3] = s0, s1, s2, s3
 	}
-	return sc.dist
+	for ; j < len(keys); j++ {
+		s := 0.0
+		for sub, c := range codes[j*nsub : (j+1)*nsub] {
+			s += lut[sub*k+int(c)]
+		}
+		keys[j] = s
+	}
 }
 
 // PQIndex is a model-free product-quantized gallery index: codebooks and
@@ -345,13 +351,13 @@ func (ix *PQIndex) adcSelect(feat []float64, m, workers int, sc *pqScratch) []Re
 
 	// Sharded candidate scan over the code matrix. The per-row score is a
 	// fixed-order sum of nsub table cells, so it is a pure function of the
-	// row — sharding cannot change a single bit of it. The scoring closure
-	// lives in the scratch (see adcDist); re-target it at this query's
-	// table and codes.
+	// row — sharding cannot change a single bit of it. The scratch is the
+	// block scorer (see scoreBlock); re-target it at this query's table and
+	// codes.
 	R := ix.effectiveRerank(m)
 	sc.lut, sc.codes, sc.nsub, sc.k = lut, ix.codes, ix.nsub, ix.k
 	sw := ix.tel.scanNs.Start()
-	cands := scanTopMIdx(n, R, parallel.CapWorkers(workers, n, pqScanMinShard), sc.adcDist(), ix.g.ids, &sc.idx)
+	cands := scanTopMIdx(n, R, workers, sc, false, ix.g.ids, &sc.idx)
 	sw.Stop()
 	ix.tel.codes.Add(int64(n))
 

@@ -123,9 +123,9 @@ func TestPQFullRerankMatchesExactBitwise(t *testing.T) {
 // TestPQWorkerCountBitStable asserts the §9 determinism contract at the
 // index layer: the same query must produce bitwise-identical results at
 // every scan worker count, even when the scan actually shards (gallery
-// larger than pqScanMinShard).
+// larger than scanMinShard).
 func TestPQWorkerCountBitStable(t *testing.T) {
-	n := 3 * pqScanMinShard
+	n := 3 * scanMinShard
 	ids, labels, feats := pqTestData(4, n, 8)
 	cfg := pqTestConfig()
 	cfg.Centroids = 16

@@ -83,13 +83,3 @@ func (t *Tensor) Normalize() *Tensor {
 	}
 	return t.Scale(1 / n)
 }
-
-// CosineSimilarity returns the cosine of the angle between t and u viewed as
-// flat vectors, or 0 if either has zero norm.
-func (t *Tensor) CosineSimilarity(u *Tensor) float64 {
-	nt, nu := t.L2(), u.L2()
-	if nt < Eps || nu < Eps {
-		return 0
-	}
-	return t.Dot(u) / (nt * nu)
-}

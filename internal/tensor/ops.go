@@ -183,21 +183,6 @@ func (t *Tensor) MatVec(v *Tensor) *Tensor {
 	return out
 }
 
-// Transpose returns the transpose of a rank-2 tensor.
-func (t *Tensor) Transpose() *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose requires rank 2, got %v", t.shape))
-	}
-	a, b := t.shape[0], t.shape[1]
-	out := New(b, a)
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			out.data[j*a+i] = t.data[i*b+j]
-		}
-	}
-	return out
-}
-
 // Equal reports whether t and u have the same shape and all elements are
 // within tol of each other.
 func (t *Tensor) Equal(u *Tensor, tol float64) bool {

@@ -23,19 +23,17 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape. A tensor with no
 // dimensions is a scalar holding one element.
 func New(shape ...int) *Tensor {
+	// The tensor's own copy comes first, so shape never escapes and a
+	// caller's variadic dims stay on its stack.
+	own := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, own))
 		}
 		n *= d
 	}
-	t := &Tensor{
-		shape:   append([]int(nil), shape...),
-		strides: stridesFor(shape),
-		data:    make([]float64, n),
-	}
-	return t
+	return &Tensor{shape: own, strides: stridesFor(own), data: make([]float64, n)}
 }
 
 // From returns a tensor with the given shape backed by a copy of data.
@@ -55,7 +53,9 @@ func Wrap(data []float64, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
+			// A copy, so shape itself does not escape and a caller's
+			// variadic dims stay on its stack.
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}

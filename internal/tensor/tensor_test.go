@@ -240,26 +240,11 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := a.Transpose()
-	want := From([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	if !got.Equal(want, 0) {
-		t.Errorf("Transpose = %v", got)
-	}
-}
-
 func TestDistanceAndCosine(t *testing.T) {
 	a := From([]float64{1, 0}, 2)
 	b := From([]float64{0, 1}, 2)
 	if got := a.Distance(b); math.Abs(got-math.Sqrt2) > 1e-12 {
 		t.Errorf("Distance = %g", got)
-	}
-	if got := a.CosineSimilarity(b); got != 0 {
-		t.Errorf("CosineSimilarity orthogonal = %g", got)
-	}
-	if got := a.CosineSimilarity(a.Scale(3)); math.Abs(got-1) > 1e-12 {
-		t.Errorf("CosineSimilarity parallel = %g", got)
 	}
 }
 
@@ -385,24 +370,6 @@ func TestPropL0AtMostLen(t *testing.T) {
 		a := tensorFromVals(vals)
 		l0 := a.L0()
 		return l0 >= 0 && l0 <= a.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropTransposeInvolution(t *testing.T) {
-	f := func(vals []float64) bool {
-		a := tensorFromVals(vals)
-		n := a.Len()
-		rows := 1
-		for r := 2; r*r <= n; r++ {
-			if n%r == 0 {
-				rows = r
-			}
-		}
-		m := a.Reshape(rows, n/rows)
-		return m.Transpose().Transpose().Equal(m, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
