@@ -126,8 +126,15 @@ func Frozen(m Model) bool {
 	return false
 }
 
-// Embed runs a forward pass and returns only the embedding.
+// Embed returns m's embedding of v, with the bits of m.Forward. For a model
+// this package built it runs nn.Infer, which builds no cache and keeps its
+// activations in a pooled arena; any other Model, a decorator embedding one
+// of ours included, runs its own Forward. The result is always a fresh
+// tensor the caller may keep.
 func Embed(m Model, v *video.Video) *tensor.Tensor {
+	if nm, ok := m.(*netModel); ok {
+		return nn.Infer(nm.net, v.Data)
+	}
 	e, _ := m.Forward(v.Data)
 	return e
 }
@@ -303,12 +310,6 @@ var builders = map[string]Builder{
 	"Resnet18": NewResNet18,
 	"Resnet34": NewResNet34,
 }
-
-// VictimNames lists the paper's four victim backbones in table order.
-func VictimNames() []string { return []string{"TPN", "SlowFast", "I3D", "Resnet34"} }
-
-// SurrogateNames lists the paper's two surrogate backbones.
-func SurrogateNames() []string { return []string{"C3D", "Resnet18"} }
 
 // Names returns every registered architecture, sorted.
 func Names() []string {

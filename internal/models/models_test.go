@@ -225,14 +225,6 @@ func TestCNNLSTMTrainable(t *testing.T) {
 	}
 }
 
-func TestVictimAndSurrogateNameLists(t *testing.T) {
-	for _, n := range append(VictimNames(), SurrogateNames()...) {
-		if _, err := Build(n, rand.New(rand.NewSource(1)), tinyGeom, 8); err != nil {
-			t.Errorf("listed architecture %q not buildable: %v", n, err)
-		}
-	}
-}
-
 func TestPretrainBeatsChance(t *testing.T) {
 	c := trainTinyCorpus(t)
 	rng := rand.New(rand.NewSource(14))

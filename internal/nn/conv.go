@@ -5,11 +5,11 @@ import (
 	"duo/internal/tensor"
 )
 
-// parallelThreshold is the per-filter multiply-accumulate count above which
-// convolution passes fan out across workers: the forward over output rows
-// (all filters of a row on one worker), the backward's weight pass over
-// filters and its dx pass over input rows. It is a var so tests can lower
-// it to force the parallel path on tiny layers.
+// parallelThreshold is the multiply-accumulate count from which a pass fans
+// out across workers: per filter for a convolution (the forward over output
+// rows, all filters of a row on one worker, the backward's weight pass over
+// filters and its dx pass over input rows), In·Out for a Linear layer. It
+// is a var so tests can lower it to force the parallel path on tiny layers.
 var parallelThreshold = 20000
 
 // convDims is the geometry of one convolution over flat row-major slices:
@@ -258,8 +258,9 @@ func (d *convDims) backward(x, w, g, dx, wg, bg []float64) {
 		return
 	}
 	if !frozen {
+		dd := *d // the shards capture a copy, so d stays off the heap
 		parallel.ForN(workers, d.F, func(_, fs, fe int) {
-			d.scatterGrads(x, nil, g, nil, wg, bg, fs, fe)
+			dd.scatterGrads(x, nil, g, nil, wg, bg, fs, fe)
 		})
 	}
 	d.gradInput(w, g, dx, nil)
@@ -283,8 +284,14 @@ func (d *convDims) gradInput(w, g, dx []float64, keep []bool) {
 	}
 	tAt, tTaps := axisTaps(d.T, d.KT, d.ST, d.PT, d.To, d.KH*d.KW, d.Ho*d.Wo)
 	hAt, hTaps := axisTaps(d.H, d.KH, d.SH, d.PH, d.Ho, d.KW, d.Wo)
-	parallel.ForN(d.workers(), rows, func(_, rs, re int) {
-		d.gradInputRows(w, g, dx, ts, tAt, tTaps, hAt, hTaps, rs, re)
+	workers := d.workers()
+	if workers == 1 { // no closure, so neither it nor d is allocated
+		d.gradInputRows(w, g, dx, ts, tAt, tTaps, hAt, hTaps, 0, rows)
+		return
+	}
+	dd := *d
+	parallel.ForN(workers, rows, func(_, rs, re int) {
+		dd.gradInputRows(w, g, dx, ts, tAt, tTaps, hAt, hTaps, rs, re)
 	})
 }
 

@@ -38,11 +38,15 @@ func (l *Conv2D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KH, l.SH, l.PH), outDim(in[2], l.KW, l.SW, l.PW)}
 }
 
-// dims views the layer, on input x, as a one-frame 3-D convolution with a
-// 1×KH×KW kernel.
-func (l *Conv2D) dims(x *tensor.Tensor) convDims {
-	h, w := x.Dim(1), x.Dim(2)
-	return convDims{
+// geometry views the layer, on an input of shape in ([C,H,W]), as a
+// one-frame 3-D convolution with a 1×KH×KW kernel. It panics on a shape the
+// layer cannot take.
+func (l *Conv2D) geometry(in []int) convDims {
+	if len(in) != 3 || in[0] != l.InC {
+		panic(fmt.Sprintf("nn: Conv2D(in=%d) got input shape %v", l.InC, append([]int(nil), in...)))
+	}
+	h, w := in[1], in[2]
+	d := convDims{
 		C: l.InC, F: l.OutC,
 		T: 1, H: h, W: w,
 		KT: 1, KH: l.KH, KW: l.KW,
@@ -50,18 +54,22 @@ func (l *Conv2D) dims(x *tensor.Tensor) convDims {
 		PH: l.PH, PW: l.PW,
 		To: 1, Ho: outDim(h, l.KH, l.SH, l.PH), Wo: outDim(w, l.KW, l.SW, l.PW),
 	}
+	if d.Ho <= 0 || d.Wo <= 0 {
+		panic(fmt.Sprintf("nn: Conv2D produces empty output for input %v", append([]int(nil), in...)))
+	}
+	return d
+}
+
+// dims is the layer's geometry on input x.
+func (l *Conv2D) dims(x *tensor.Tensor) convDims {
+	var buf [maxStackRank]int
+	return l.geometry(shapeOf(x, buf[:0]))
 }
 
 // Forward implements Layer. The result is bitwise-identical at every worker
 // count (see convDims).
 func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() != 3 || x.Dim(0) != l.InC {
-		panic(fmt.Sprintf("nn: Conv2D(in=%d) got input shape %v", l.InC, x.Shape()))
-	}
 	d := l.dims(x)
-	if d.Ho <= 0 || d.Wo <= 0 {
-		panic(fmt.Sprintf("nn: Conv2D produces empty output for input %v", x.Shape()))
-	}
 	out := tensor.New(d.F, d.Ho, d.Wo)
 	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
 	return out, newConvCache(l.W, x)

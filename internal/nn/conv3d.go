@@ -46,10 +46,14 @@ func (l *Conv3D) OutShape(in []int) []int {
 	return []int{l.OutC, outDim(in[1], l.KT, l.ST, l.PT), outDim(in[2], l.KH, l.SH, l.PH), outDim(in[3], l.KW, l.SW, l.PW)}
 }
 
-// dims is the layer's geometry on input x.
-func (l *Conv3D) dims(x *tensor.Tensor) convDims {
-	t, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	return convDims{
+// geometry is the layer's geometry on an input of shape in ([C,T,H,W]). It
+// panics on a shape the layer cannot take.
+func (l *Conv3D) geometry(in []int) convDims {
+	if len(in) != 4 || in[0] != l.InC {
+		panic(fmt.Sprintf("nn: Conv3D(in=%d) got input shape %v", l.InC, append([]int(nil), in...)))
+	}
+	t, h, w := in[1], in[2], in[3]
+	d := convDims{
 		C: l.InC, F: l.OutC,
 		T: t, H: h, W: w,
 		KT: l.KT, KH: l.KH, KW: l.KW,
@@ -57,18 +61,22 @@ func (l *Conv3D) dims(x *tensor.Tensor) convDims {
 		PT: l.PT, PH: l.PH, PW: l.PW,
 		To: outDim(t, l.KT, l.ST, l.PT), Ho: outDim(h, l.KH, l.SH, l.PH), Wo: outDim(w, l.KW, l.SW, l.PW),
 	}
+	if d.To <= 0 || d.Ho <= 0 || d.Wo <= 0 {
+		panic(fmt.Sprintf("nn: Conv3D produces empty output for input %v", append([]int(nil), in...)))
+	}
+	return d
+}
+
+// dims is the layer's geometry on input x.
+func (l *Conv3D) dims(x *tensor.Tensor) convDims {
+	var buf [maxStackRank]int
+	return l.geometry(shapeOf(x, buf[:0]))
 }
 
 // Forward implements Layer. The result is bitwise-identical at every worker
 // count (see convDims).
 func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() != 4 || x.Dim(0) != l.InC {
-		panic(fmt.Sprintf("nn: Conv3D(in=%d) got input shape %v", l.InC, x.Shape()))
-	}
 	d := l.dims(x)
-	if d.To <= 0 || d.Ho <= 0 || d.Wo <= 0 {
-		panic(fmt.Sprintf("nn: Conv3D produces empty output for input %v", x.Shape()))
-	}
 	out := tensor.New(d.F, d.To, d.Ho, d.Wo)
 	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
 	return out, newConvCache(l.W, x)

@@ -409,15 +409,15 @@ func TestConvForwardAllocs(t *testing.T) {
 }
 
 // TestConvBackwardAllocs pins a frozen Conv3D's dx pass, on one worker, at
-// the allocations it had before the kernels kept a per-row tap table: the
-// dx tensor plus seven (the per-axis tap lists, the pass's closure and the
-// geometry it captures), and one more for the kept-frame list of the
-// frame-restricted backward. The per-row table lives on the stack. A
-// trainable Conv3D on one worker scatters W.Grad, B.Grad and dx in one
-// walk (scatterGrads), which allocates nothing: its Backward costs the dx
-// tensor plus the geometry, which escapes to the heap. The dx tensor is
-// four allocations (header, shape, strides, data): the dims Backward
-// passes to tensor.New stay on its stack, and x's shape is not copied.
+// the dx tensor plus four allocations (the two per-axis tap lists and their
+// index tables), and one more for the kept-frame list of the
+// frame-restricted backward. The per-row tap table lives on the stack, and
+// the one-worker pass runs without a closure, so neither the geometry nor
+// the row count escapes. A trainable Conv3D on one worker scatters W.Grad,
+// B.Grad and dx in one walk (scatterGrads), which allocates nothing: its
+// Backward costs the dx tensor alone. The dx tensor is four allocations
+// (header, shape, strides, data): the dims Backward passes to tensor.New
+// stay on its stack, and x's shape is not copied.
 func TestConvBackwardAllocs(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -442,9 +442,9 @@ func TestConvBackwardAllocs(t *testing.T) {
 		run  func()
 		want float64
 	}{
-		{"frozen Backward", func() { l.Backward(cache, g) }, dx + 7},
-		{"frozen backwardFrames", func() { l.backwardFrames(cache, g, keep) }, dx + 8},
-		{"trainable Backward", func() { tl.Backward(tcache, g) }, dx + 1},
+		{"frozen Backward", func() { l.Backward(cache, g) }, dx + 4},
+		{"frozen backwardFrames", func() { l.backwardFrames(cache, g, keep) }, dx + 5},
+		{"trainable Backward", func() { tl.Backward(tcache, g) }, dx},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
 			t.Errorf("Conv3D %s allocates %v times per call, want %v", tc.name, got, tc.want)

@@ -31,37 +31,54 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 
 type linearCache struct{ x *tensor.Tensor }
 
-// Forward implements Layer. Output rows are sharded across workers; each
-// row's dot product runs in the same ascending-index order as MatVec, so
-// the result is bitwise-identical at every worker count.
+// workers is the fan-out of one pass: the active worker count when the
+// layer's In·Out multiply-accumulates reach parallelThreshold, else 1.
+func (l *Linear) workers() int {
+	if l.In*l.Out < parallelThreshold {
+		return 1
+	}
+	return parallel.Workers()
+}
+
+func (l *Linear) checkInput(in []int) {
+	if len(in) != 1 || in[0] != l.In {
+		panic(fmt.Sprintf("nn: Linear(%d→%d) got input shape %v", l.In, l.Out, append([]int(nil), in...)))
+	}
+}
+
+// Forward implements Layer. Output rows are sharded across workers (see
+// affine), so the result is bitwise-identical at every worker count.
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() != 1 || x.Dim(0) != l.In {
-		panic(fmt.Sprintf("nn: Linear(%d→%d) got input shape %v", l.In, l.Out, x.Shape()))
-	}
-	workers := parallel.Workers()
-	if workers <= 1 {
-		y := l.W.Value.MatVec(x)
-		y.AddInPlace(l.B.Value)
-		return y, &linearCache{x: x.Clone()}
-	}
+	var buf [maxStackRank]int
+	l.checkInput(shapeOf(x, buf[:0]))
 	y := tensor.New(l.Out)
 	yd, xd := y.Data(), x.Data()
-	wd, bd := l.W.Value.Data(), l.B.Value.Data()
-	parallel.ForN(workers, l.Out, func(_, os, oe int) {
-		for o := os; o < oe; o++ {
-			row := wd[o*l.In : (o+1)*l.In]
-			s := 0.0
-			for k, rv := range row {
-				s += rv * xd[k]
-			}
-			yd[o] = s + bd[o]
-		}
-	})
+	if workers := l.workers(); workers == 1 {
+		l.affine(yd, xd, 0, l.Out)
+	} else {
+		parallel.ForN(workers, l.Out, func(_, os, oe int) {
+			l.affine(yd, xd, os, oe)
+		})
+	}
 	return y, &linearCache{x: x.Clone()}
 }
 
-// Backward implements Layer. With one worker it runs the reference scatter
-// loop; with more it shards the weight/bias gradients over output rows
+// affine fills the outputs [os, oe) of y = W·x + b: each is its row's dot
+// product in ascending index order, plus the bias.
+func (l *Linear) affine(y, x []float64, os, oe int) {
+	wd, bd := l.W.Value.Data(), l.B.Value.Data()
+	for o := os; o < oe; o++ {
+		s := 0.0
+		for k, rv := range wd[o*l.In : (o+1)*l.In] {
+			s += rv * x[k]
+		}
+		y[o] = s + bd[o]
+	}
+}
+
+// Backward implements Layer. With one worker (a layer under
+// parallelThreshold always has one) it runs the reference scatter loop;
+// with more it shards the weight/bias gradients over output rows
 // (single writer per row) and gathers dx per input element in the same
 // ascending-o order the scatter accumulates, keeping the result
 // bitwise-identical (DESIGN.md §9). A frozen layer runs only the gather.
@@ -75,9 +92,9 @@ func (l *Linear) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
 	bg := l.B.gradData()
 	dx := tensor.New(l.In)
 	dxd := dx.Data()
-	workers := parallel.Workers()
+	workers := l.workers()
 	frozen := wg == nil
-	if !frozen && workers <= 1 {
+	if !frozen && workers == 1 {
 		for o := 0; o < l.Out; o++ {
 			go_ := g[o]
 			bg[o] += go_

@@ -7,6 +7,11 @@
 // state needed by Backward. Caches are per-call, so several forward passes
 // can be in flight at once (needed by batch metric losses, which backprop a
 // whole batch of embeddings through shared weights).
+//
+// Infer is the cache-free pass for a caller that will not backpropagate: it
+// gives Forward's bits, builds no Cache, and keeps its activations in a
+// pooled arena, so it allocates only the tensor it returns. Each layer's
+// arithmetic lives in one helper that Forward and Infer both call.
 package nn
 
 import (
@@ -116,15 +121,24 @@ type reluCache struct{ mask []bool }
 func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	out := x.Clone()
 	mask := make([]bool, out.Len())
-	d := out.Data()
-	for i, v := range d {
+	relu(out.Data(), out.Data(), mask)
+	return out, &reluCache{mask: mask}
+}
+
+// relu writes max(0, v) for every v of src into dst, which may be src, and
+// marks the positive elements in mask unless mask is nil. A NaN is not
+// positive, so it becomes 0.
+func relu(dst, src []float64, mask []bool) {
+	for i, v := range src {
 		if v > 0 {
-			mask[i] = true
+			dst[i] = v
+			if mask != nil {
+				mask[i] = true
+			}
 		} else {
-			d[i] = 0
+			dst[i] = 0
 		}
 	}
-	return out, &reluCache{mask: mask}
 }
 
 // Backward implements Layer.
@@ -172,7 +186,17 @@ var _ Layer = Scale{}
 
 // Forward implements Layer.
 func (s Scale) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	return x.Scale(s.Factor), nil
+	var buf [maxStackRank]int
+	out := tensor.New(shapeOf(x, buf[:0])...)
+	scale(out.Data(), x.Data(), s.Factor)
+	return out, nil
+}
+
+// scale writes v·f for every v of src into dst, which may be src.
+func scale(dst, src []float64, f float64) {
+	for i, v := range src {
+		dst[i] = v * f
+	}
 }
 
 // Backward implements Layer.

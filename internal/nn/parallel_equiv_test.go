@@ -132,6 +132,7 @@ func TestConv3DParallelEquivalenceSingleFrame(t *testing.T) {
 }
 
 func TestLinearParallelEquivalence(t *testing.T) {
+	forceParallelThreshold(t)
 	rng := rand.New(rand.NewSource(36))
 	// 5 outputs across 2 and 7 workers: uneven shards and empty shards.
 	l := NewLinear(rng, 13, 5)
@@ -140,6 +141,7 @@ func TestLinearParallelEquivalence(t *testing.T) {
 }
 
 func TestLinearParallelEquivalenceWide(t *testing.T) {
+	forceParallelThreshold(t)
 	rng := rand.New(rand.NewSource(37))
 	l := NewLinear(rng, 64, 31)
 	x := tensor.RandNormal(rng, 0, 1, 64)

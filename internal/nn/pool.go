@@ -28,46 +28,60 @@ func poolOut(in, k int) int {
 	return in / k
 }
 
+// window is the pooling kernel on input in ([C,T,H,W]), clipped to the
+// input, and the output's [T,H,W].
+func (l MaxPool3D) window(in []int) (k, o [3]int) {
+	if len(in) != 4 {
+		panic(fmt.Sprintf("nn: MaxPool3D got input shape %v", append([]int(nil), in...)))
+	}
+	k = [3]int{min(l.KT, in[1]), min(l.KH, in[2]), min(l.KW, in[3])}
+	return k, [3]int{poolOut(in[1], k[0]), poolOut(in[2], k[1]), poolOut(in[3], k[2])}
+}
+
 // Forward implements Layer.
 func (l MaxPool3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: MaxPool3D got input shape %v", x.Shape()))
-	}
 	in := x.Shape()
-	C, T, H, W := in[0], in[1], in[2], in[3]
-	kt, kh, kw := min(l.KT, T), min(l.KH, H), min(l.KW, W)
-	To, Ho, Wo := poolOut(T, kt), poolOut(H, kh), poolOut(W, kw)
-	out := tensor.New(C, To, Ho, Wo)
+	k, o := l.window(in)
+	out := tensor.New(in[0], o[0], o[1], o[2])
 	arg := make([]int, out.Len())
-	xd, od := x.Data(), out.Data()
-	xsC, xsT, xsH := T*H*W, H*W, W
+	maxPool(out.Data(), arg, x.Data(), in, k, o)
+	return out, &maxPoolCache{inShape: in, argmax: arg}
+}
 
+// maxPool fills dst with the maximum of every window k of src (shape in),
+// the first one on a tie, and records its flat input index in arg unless
+// arg is nil.
+func maxPool(dst []float64, arg []int, src []float64, in []int, k, o [3]int) {
+	C, H, W := in[0], in[2], in[3]
+	kt, kh, kw := k[0], k[1], k[2]
+	xsC, xsT, xsH := in[1]*H*W, H*W, W
 	oi := 0
 	for c := 0; c < C; c++ {
-		for to := 0; to < To; to++ {
-			for ho := 0; ho < Ho; ho++ {
-				for wo := 0; wo < Wo; wo++ {
+		for to := 0; to < o[0]; to++ {
+			for ho := 0; ho < o[1]; ho++ {
+				for wo := 0; wo < o[2]; wo++ {
 					best := math.Inf(-1)
 					bi := -1
 					for dt := 0; dt < kt; dt++ {
 						for dh := 0; dh < kh; dh++ {
 							for dw := 0; dw < kw; dw++ {
 								idx := c*xsC + (to*kt+dt)*xsT + (ho*kh+dh)*xsH + wo*kw + dw
-								if xd[idx] > best {
-									best = xd[idx]
+								if src[idx] > best {
+									best = src[idx]
 									bi = idx
 								}
 							}
 						}
 					}
-					od[oi] = best
-					arg[oi] = bi
+					dst[oi] = best
+					if arg != nil {
+						arg[oi] = bi
+					}
 					oi++
 				}
 			}
 		}
 	}
-	return out, &maxPoolCache{inShape: in, argmax: arg}
 }
 
 // Backward implements Layer.
@@ -96,32 +110,42 @@ type avgPoolTimeCache struct {
 	k       int
 }
 
+// window is the clipped window on input in ([C,T,H,W]) and the output's
+// frame count.
+func (l AvgPoolTime) window(in []int) (k, to int) {
+	if len(in) != 4 {
+		panic(fmt.Sprintf("nn: AvgPoolTime got input shape %v", append([]int(nil), in...)))
+	}
+	k = min(l.K, in[1])
+	return k, poolOut(in[1], k)
+}
+
 // Forward implements Layer.
 func (l AvgPoolTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: AvgPoolTime got input shape %v", x.Shape()))
-	}
 	in := x.Shape()
-	C, T, H, W := in[0], in[1], in[2], in[3]
-	k := min(l.K, T)
-	To := poolOut(T, k)
-	out := tensor.New(C, To, H, W)
-	xd, od := x.Data(), out.Data()
-	xsC, xsT := T*H*W, H*W
-	osC := To * H * W
+	k, to := l.window(in)
+	out := tensor.New(in[0], to, in[2], in[3])
+	avgPoolTime(out.Data(), x.Data(), in, k, to)
+	return out, &avgPoolTimeCache{inShape: in, k: k}
+}
+
+// avgPoolTime adds into dst, zero on entry, the average of every k
+// consecutive frames of src (shape in), to output frames.
+func avgPoolTime(dst, src []float64, in []int, k, to int) {
+	C, T, hw := in[0], in[1], in[2]*in[3]
+	xsC, osC := T*hw, to*hw
 	inv := 1 / float64(k)
 	for c := 0; c < C; c++ {
-		for to := 0; to < To; to++ {
+		for t := 0; t < to; t++ {
 			for dt := 0; dt < k; dt++ {
-				src := xd[c*xsC+(to*k+dt)*xsT : c*xsC+(to*k+dt+1)*xsT]
-				dst := od[c*osC+to*xsT : c*osC+(to+1)*xsT]
+				src := src[c*xsC+(t*k+dt)*hw : c*xsC+(t*k+dt+1)*hw]
+				dst := dst[c*osC+t*hw : c*osC+(t+1)*hw]
 				for i, v := range src {
 					dst[i] += v * inv
 				}
 			}
 		}
 	}
-	return out, &avgPoolTimeCache{inShape: in, k: k}
 }
 
 // Backward implements Layer.
@@ -163,15 +187,25 @@ type gapCache struct{ inShape []int }
 
 // Forward implements Layer.
 func (GlobalAvgPool) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() < 2 {
-		panic(fmt.Sprintf("nn: GlobalAvgPool got input shape %v", x.Shape()))
+	in := x.Shape()
+	checkFramed("GlobalAvgPool", in)
+	out := tensor.New(in[0])
+	globalAvg(out.Data(), x.Data())
+	return out, &gapCache{inShape: in}
+}
+
+// globalAvg writes into dst[c] the mean of the c-th of len(dst) equal
+// parts of src: their sum in ascending order over their count, as
+// tensor.Mean computes it.
+func globalAvg(dst, src []float64) {
+	per := len(src) / len(dst)
+	for c := range dst {
+		s := 0.0
+		for _, v := range src[c*per : (c+1)*per] {
+			s += v
+		}
+		dst[c] = s / float64(per)
 	}
-	C := x.Dim(0)
-	out := tensor.New(C)
-	for c := 0; c < C; c++ {
-		out.Set(x.Slice(c).Mean(), c)
-	}
-	return out, &gapCache{inShape: x.Shape()}
 }
 
 // Backward implements Layer.

@@ -13,20 +13,29 @@ type SwapCT struct{}
 
 var _ Layer = SwapCT{}
 
-func swap01(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: SwapCT got input shape %v", x.Shape()))
+// swapDims checks that in is rank 4 and returns it as A, B, H, W.
+func swapDims(in []int) (a, b, h, w int) {
+	if len(in) != 4 {
+		panic(fmt.Sprintf("nn: SwapCT got input shape %v", append([]int(nil), in...)))
 	}
-	s := x.Shape()
-	A, B, H, W := s[0], s[1], s[2], s[3]
-	out := tensor.New(B, A, H, W)
-	xd, od := x.Data(), out.Data()
-	hw := H * W
-	for a := 0; a < A; a++ {
-		for b := 0; b < B; b++ {
-			copy(od[(b*A+a)*hw:(b*A+a+1)*hw], xd[(a*B+b)*hw:(a*B+b+1)*hw])
+	return in[0], in[1], in[2], in[3]
+}
+
+// swapInto writes src, an [A, B, …] tensor with hw elements per (a, b)
+// plane, into dst as [B, A, …].
+func swapInto(dst, src []float64, a, b, hw int) {
+	for i := 0; i < a; i++ {
+		for j := 0; j < b; j++ {
+			copy(dst[(j*a+i)*hw:(j*a+i+1)*hw], src[(i*b+j)*hw:(i*b+j+1)*hw])
 		}
 	}
+}
+
+func swap01(x *tensor.Tensor) *tensor.Tensor {
+	var buf [maxStackRank]int
+	A, B, H, W := swapDims(shapeOf(x, buf[:0]))
+	out := tensor.New(B, A, H, W)
+	swapInto(out.Data(), x.Data(), A, B, H*W)
 	return out
 }
 
@@ -53,9 +62,8 @@ type timeDistCache struct {
 
 // Forward implements Layer.
 func (l *TimeDistributed) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() < 2 {
-		panic(fmt.Sprintf("nn: TimeDistributed got input shape %v", x.Shape()))
-	}
+	var buf [maxStackRank]int
+	checkFramed("TimeDistributed", shapeOf(x, buf[:0]))
 	n := x.Dim(0)
 	caches := make([]Cache, n)
 	var out *tensor.Tensor
@@ -116,7 +124,19 @@ func (l *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	if l.Proj != nil {
 		skip, pc = l.Proj.Forward(x)
 	}
-	return y.Add(skip), &residualCache{inner: ic, proj: pc}
+	if !y.SameShape(skip) {
+		panic(fmt.Sprintf("nn: Residual: inner output %v, skip %v", y.Shape(), skip.Shape()))
+	}
+	out := y.Clone()
+	add(out.Data(), out.Data(), skip.Data())
+	return out, &residualCache{inner: ic, proj: pc}
+}
+
+// add writes a[i] + b[i] into dst[i], which may alias a.
+func add(dst, a, b []float64) {
+	for i, v := range b {
+		dst[i] = a[i] + v
+	}
 }
 
 // Backward implements Layer.
@@ -156,25 +176,33 @@ type parallelCache struct {
 func (l *Parallel) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	caches := make([]Cache, len(l.Branches))
 	sizes := make([]int, len(l.Branches))
-	var parts []*tensor.Tensor
+	parts := make([][]float64, len(l.Branches))
 	total := 0
 	for i, br := range l.Branches {
 		y, c := br.Forward(x)
-		if y.Rank() != 1 {
-			panic(fmt.Sprintf("nn: Parallel branch %d output rank %d, want 1", i, y.Rank()))
-		}
+		checkBranch(i, y.Rank())
 		caches[i] = c
 		sizes[i] = y.Len()
 		total += y.Len()
-		parts = append(parts, y)
+		parts[i] = y.Data()
 	}
 	out := tensor.New(total)
+	concat(out.Data(), parts)
+	return out, &parallelCache{caches: caches, sizes: sizes}
+}
+
+func checkBranch(i, rank int) {
+	if rank != 1 {
+		panic(fmt.Sprintf("nn: Parallel branch %d output rank %d, want 1", i, rank))
+	}
+}
+
+// concat writes parts one after another into dst.
+func concat(dst []float64, parts [][]float64) {
 	off := 0
 	for _, p := range parts {
-		copy(out.Data()[off:off+p.Len()], p.Data())
-		off += p.Len()
+		off += copy(dst[off:], p)
 	}
-	return out, &parallelCache{caches: caches, sizes: sizes}
 }
 
 // Backward implements Layer.
@@ -218,24 +246,29 @@ type subsampleCache struct {
 
 // Forward implements Layer.
 func (l SubsampleTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	if x.Rank() < 2 {
-		panic(fmt.Sprintf("nn: SubsampleTime got input shape %v", x.Shape()))
-	}
-	n := x.Dim(0)
-	k := l.K
-	if k < 1 {
-		k = 1
-	}
+	shape := x.Shape()
+	checkFramed("SubsampleTime", shape)
+	n, k := shape[0], l.k()
 	var kept []int
 	for i := 0; i < n; i += k {
 		kept = append(kept, i)
 	}
-	rest := x.Shape()[1:]
-	out := tensor.New(append([]int{len(kept)}, rest...)...)
-	for j, i := range kept {
-		out.Slice(j).CopyFrom(x.Slice(i))
-	}
+	shape[0] = len(kept)
+	out := tensor.New(shape...)
+	subsample(out.Data(), x.Data(), n, k)
 	return out, &subsampleCache{inShape: x.Shape(), kept: kept}
+}
+
+// k is the stride, at least 1.
+func (l SubsampleTime) k() int { return max(l.K, 1) }
+
+// subsample copies slices 0, k, 2k, … of src's n slices into dst, one
+// after another.
+func subsample(dst, src []float64, n, k int) {
+	per := len(src) / n
+	for i, j := 0, 0; i < n; i, j = i+k, j+1 {
+		copy(dst[j*per:(j+1)*per], src[i*per:(i+1)*per])
+	}
 }
 
 // Backward implements Layer.

@@ -161,28 +161,6 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 	return s
 }
 
-// MatVec returns the matrix-vector product of a rank-2 tensor (a×b) with a
-// rank-1 tensor (b), producing a rank-1 tensor (a).
-func (t *Tensor) MatVec(v *Tensor) *Tensor {
-	if t.Rank() != 2 || v.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: MatVec requires (2,1)-rank operands, got %v and %v", t.shape, v.shape))
-	}
-	a, b := t.shape[0], t.shape[1]
-	if b != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec: dims differ: %v · %v", t.shape, v.shape))
-	}
-	out := New(a)
-	for i := 0; i < a; i++ {
-		row := t.data[i*b : (i+1)*b]
-		s := 0.0
-		for k, rv := range row {
-			s += rv * v.data[k]
-		}
-		out.data[i] = s
-	}
-	return out
-}
-
 // Equal reports whether t and u have the same shape and all elements are
 // within tol of each other.
 func (t *Tensor) Equal(u *Tensor, tol float64) bool {

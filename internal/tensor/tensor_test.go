@@ -230,16 +230,6 @@ func TestL0AndL20(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := From([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	v := From([]float64{1, 0, -1}, 3)
-	got := a.MatVec(v)
-	want := From([]float64{-2, -2}, 2)
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("MatVec = %v, want %v", got, want)
-	}
-}
-
 func TestDistanceAndCosine(t *testing.T) {
 	a := From([]float64{1, 0}, 2)
 	b := From([]float64{0, 1}, 2)
