@@ -90,15 +90,21 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestListRules checks -list names every analyzer.
+// TestListRules checks -list names every analyzer, one per line, in
+// registry order.
 func TestListRules(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(badmodDir, []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit %d, want 0", code)
 	}
-	for _, rule := range []string{"detrand", "walltime", "mapiter", "floateq", "billedquery", "telemetryro"} {
-		if !strings.Contains(stdout.String(), rule) {
-			t.Errorf("-list output missing %s:\n%s", rule, stdout.String())
+	want := []string{"detrand", "walltime", "floateq", "billedquery", "telemetryro", "gobsymmetry"}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d rules, want %d:\n%s", len(lines), len(want), stdout.String())
+	}
+	for i, rule := range want {
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != rule {
+			t.Errorf("-list line %d = %q, want rule %s", i, lines[i], rule)
 		}
 	}
 }

@@ -217,22 +217,39 @@ func suffixSum(s *telemetry.Snapshot, suffix string) int64 {
 }
 
 // scanStats picks the busiest scan histogram from a snapshot (shard or
-// pq engine), for the quantile columns.
+// pq engine), for the quantile columns. Counts tie whenever two scan
+// histograms are timed once per query (an engine's *.scan_ns and its PQ
+// index's pq.adc_ns, or a fleet of exact and PQ nodes). A tie goes to
+// the *.scan_ns, which covers the re-rank, so exact and PQ rows compare
+// like for like, and then to the smaller name: the pick never depends on
+// map order.
 func scanStats(s *telemetry.Snapshot) (telemetry.HistogramStats, bool) {
 	if s == nil {
 		return telemetry.HistogramStats{}, false
 	}
 	var best telemetry.HistogramStats
-	found := false
+	bestName, found := "", false
 	for k, st := range s.Histograms {
 		if !strings.HasSuffix(k, "scan_ns") && !strings.HasSuffix(k, "adc_ns") {
 			continue
 		}
-		if !found || st.Count > best.Count {
-			best, found = st, true
+		if !found || scanRanksBefore(k, st.Count, bestName, best.Count) {
+			best, bestName, found = st, k, true
 		}
 	}
 	return best, found
+}
+
+// scanRanksBefore orders scan histograms by count, then *.scan_ns before
+// *.adc_ns, then by name.
+func scanRanksBefore(a string, countA int64, b string, countB int64) bool {
+	if countA != countB {
+		return countA > countB
+	}
+	if scanA, scanB := strings.HasSuffix(a, "scan_ns"), strings.HasSuffix(b, "scan_ns"); scanA != scanB {
+		return scanA
+	}
+	return a < b
 }
 
 func fmtNs(ns float64) string {

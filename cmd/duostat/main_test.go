@@ -79,7 +79,15 @@ func serveView(t *testing.T, view func(r *http.Request) *retrieval.FleetView) *h
 }
 
 func TestOneShotRendersFleet(t *testing.T) {
-	srv := serveView(t, func(*http.Request) *retrieval.FleetView { return testView() })
+	srv := serveView(t, func(*http.Request) *retrieval.FleetView {
+		// Ten breaker gauges: past a map's eight-slot first group, so the
+		// decoded map walks them in hash order, never by name.
+		view := testView()
+		for _, n := range []int{9, 4, 7, 1, 5, 3, 8, 6} {
+			view.Coordinator.Gauges[fmt.Sprintf("cluster.node%d.breaker_state", n)] = int64(retrieval.BreakerHalfOpen)
+		}
+		return view
+	})
 	var buf bytes.Buffer
 	if err := run([]string{srv.URL}, &buf); err != nil {
 		t.Fatal(err)
@@ -89,7 +97,8 @@ func TestOneShotRendersFleet(t *testing.T) {
 		"fleet: 3/3 nodes reachable, 120 indexed",
 		"127.0.0.1:7003",
 		"fleet totals: queries 300, shed 7",
-		"breakers: node0 closed, node2 open",
+		"breakers: node0 closed, node1 half-open, node2 open, node3 half-open, node4 half-open, " +
+			"node5 half-open, node6 half-open, node7 half-open, node8 half-open, node9 half-open\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("one-shot output missing %q:\n%s", want, out)
@@ -257,7 +266,12 @@ func TestRecordEmitsTypedJSONL(t *testing.T) {
 	mux.HandleFunc("/fleet.json", func(w http.ResponseWriter, r *http.Request) {
 		view := testView()
 		if r.URL.Query().Get("rings") == "1" {
-			view.PerNode[0].Snapshot.Rings = map[string][]float64{"shard.scan_ms": {1.5, 2.5}}
+			// Nine rings, so the decoded map walks them in hash order.
+			rings := map[string][]float64{"shard.scan_ms": {1.5, 2.5}}
+			for _, c := range "igcaehdb" {
+				rings["ring."+string(c)] = []float64{1}
+			}
+			view.PerNode[0].Snapshot.Rings = rings
 		}
 		json.NewEncoder(w).Encode(view)
 	})
@@ -281,12 +295,62 @@ func TestRecordEmitsTypedJSONL(t *testing.T) {
 			rings = append(rings, fl)
 		}
 	}
-	if types["fleet"] != 1 || types["ring"] != 1 || types["span"] != 1 {
-		t.Fatalf("record dump types = %v, want 1 fleet, 1 ring, 1 span", types)
+	if types["fleet"] != 1 || types["ring"] != 9 || types["span"] != 1 {
+		t.Fatalf("record dump types = %v, want 1 fleet, 9 ring, 1 span", types)
 	}
-	r := rings[0]
+	var names []string
+	for _, r := range rings {
+		names = append(names, r.Name)
+	}
+	if got, want := strings.Join(names, " "), "ring.a ring.b ring.c ring.d ring.e ring.g ring.h ring.i shard.scan_ms"; got != want {
+		t.Errorf("ring lines in order %q, want sorted %q", got, want)
+	}
+	r := rings[8]
 	if r.Scope != "node0" || r.Name != "shard.scan_ms" || len(r.Samples) != 2 {
 		t.Errorf("ring line = %+v, want node0 shard.scan_ms with 2 samples", r)
+	}
+}
+
+// TestScanStatsPickIsOrderFree: two scan histograms timed once per
+// query tie on count, and the pick that supplies the quantile columns
+// must not depend on the order the map is walked. The engine's
+// *.scan_ns (which covers the re-rank) beats pq.adc_ns, then the smaller
+// name wins; a higher count still beats both.
+func TestScanStatsPickIsOrderFree(t *testing.T) {
+	cases := []struct {
+		name  string
+		hists map[string]telemetry.HistogramStats
+		want  float64 // P50 of the histogram that must be picked
+	}{
+		{"pq engine", map[string]telemetry.HistogramStats{
+			"pq.adc_ns":         {Count: 50, P50: 1e5},
+			"retrieval.scan_ns": {Count: 50, P50: 3e5},
+		}, 3e5},
+		{"exact and pq fleet", map[string]telemetry.HistogramStats{
+			"pq.adc_ns":     {Count: 90, P50: 1e5},
+			"shard.scan_ns": {Count: 90, P50: 2e5},
+		}, 2e5},
+		{"two scan_ns", map[string]telemetry.HistogramStats{
+			"shard.scan_ns":     {Count: 7, P50: 2e5},
+			"pq.adc_ns":         {Count: 7, P50: 1e5},
+			"retrieval.scan_ns": {Count: 7, P50: 3e5},
+		}, 3e5},
+		{"busier adc", map[string]telemetry.HistogramStats{
+			"shard.scan_ns": {Count: 10, P50: 2e5},
+			"pq.adc_ns":     {Count: 11, P50: 1e5},
+		}, 1e5},
+	}
+	for _, c := range cases {
+		snap := &telemetry.Snapshot{Histograms: c.hists}
+		differ := 0
+		for i := 0; i < 200; i++ {
+			if st, ok := scanStats(snap); !ok || st.P50 != c.want {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of 200 calls picked another histogram than the one with p50 %g", c.name, differ, c.want)
+		}
 	}
 }
 

@@ -84,6 +84,17 @@ func TestSummarizeReconcilesBudget(t *testing.T) {
 			t.Errorf("summarize output missing %q:\n%s", want, s)
 		}
 	}
+	// The per-stage rollup is a map of six span names; its rows must
+	// come out sorted, not in the order the map is walked.
+	_, rollup, _ := strings.Cut(s, "per-stage rollup")
+	rollup, _, _ = strings.Cut(rollup, "\n\n")
+	var stages []string
+	for _, line := range strings.Split(rollup, "\n")[1:] {
+		stages = append(stages, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(stages, " "), "attack.run query.step retrieve round sparsequery sparsetransfer"; got != want {
+		t.Errorf("rollup rows %q, want %q", got, want)
+	}
 }
 
 func TestSummarizeFailsOnUnattributedQueries(t *testing.T) {

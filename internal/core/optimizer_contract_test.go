@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -195,13 +196,29 @@ func TestOptimizerContractsWorkerInvariance(t *testing.T) {
 }
 
 // TestOptimizerUnknownStrategy pins the error path: an unregistered name is
-// rejected up front with the known strategies listed.
+// rejected up front with the known strategies listed, sorted. Five more
+// names are registered out of order for the test, so a list that followed
+// the registry map's walk would not come out sorted.
 func TestOptimizerUnknownStrategy(t *testing.T) {
+	extra := []string{"zeta", "alpha", "mu", "omega", "beta"}
+	for _, name := range extra {
+		RegisterOptimizer(name, func() BlackBoxOptimizer { return nil })
+	}
+	t.Cleanup(func() {
+		for _, name := range extra {
+			delete(optimizerRegistry, name)
+		}
+	})
 	f := getFixture(t)
 	masks := contractMasks(t)
 	cfg := testQueryConfig()
 	cfg.Strategy = "does-not-exist"
-	if _, err := SparseQuery(newCtx(f, 9), f.origin, f.target, masks, cfg); err == nil {
+	_, err := SparseQuery(newCtx(f, 9), f.origin, f.target, masks, cfg)
+	if err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	const want = "(have [alpha beta evolutionary mu omega sparsequery sparsers zeta])"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the sorted strategies %s", err, want)
 	}
 }

@@ -3,6 +3,7 @@ package defense
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -183,22 +184,29 @@ func TestStatefulDetectorFlagsRepeatedQueries(t *testing.T) {
 	f := getFixture(t)
 	det := NewStatefulDetector(10, 5, 5)
 	base := f.corpus.Test[0]
-	flagged := false
-	// A query attack: many near-identical queries from one account.
+	// A query attack: many near-identical queries per account, from six
+	// accounts met out of name order.
+	accounts := []string{"attacker", "raider-4", "raider-1", "raider-3", "raider-0", "raider-2"}
 	rng := rand.New(rand.NewSource(54))
-	for i := 0; i < 10; i++ {
-		q := base.Clone()
-		q.Data.AddInPlace(tensor.RandNormal(rng, 0, 0.5, base.Data.Shape()...))
-		q.Clip()
-		if det.Observe("attacker", q) {
-			flagged = true
+	for _, account := range accounts {
+		flagged := false
+		for i := 0; i < 10; i++ {
+			q := base.Clone()
+			q.Data.AddInPlace(tensor.RandNormal(rng, 0, 0.5, base.Data.Shape()...))
+			q.Clip()
+			if det.Observe(account, q) {
+				flagged = true
+			}
+		}
+		if !flagged {
+			t.Errorf("attack account %s never flagged", account)
 		}
 	}
-	if !flagged {
-		t.Error("attack account never flagged")
-	}
-	if got := det.FlaggedAccounts(); len(got) != 1 || got[0] != "attacker" {
-		t.Errorf("FlaggedAccounts = %v", got)
+	want := "attacker raider-0 raider-1 raider-2 raider-3 raider-4"
+	for i := 0; i < 20; i++ {
+		if got := strings.Join(det.FlaggedAccounts(), " "); got != want {
+			t.Fatalf("FlaggedAccounts = %q, want sorted %q", got, want)
+		}
 	}
 }
 

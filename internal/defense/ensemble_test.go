@@ -2,11 +2,13 @@ package defense
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"duo/internal/models"
 	"duo/internal/nn/losses"
 	"duo/internal/retrieval"
+	"duo/internal/video"
 )
 
 func ensembleFixture(t *testing.T) (*retrieval.Engine, *retrieval.Engine, *fixture) {
@@ -82,5 +84,30 @@ func TestEnsembleEmptyAndZeroM(t *testing.T) {
 	e1, _, _ := ensembleFixture(t)
 	if got := NewEnsemble(e1).Retrieve(f.corpus.Test[0], 0); len(got) != 0 {
 		t.Error("m=0 returned results")
+	}
+}
+
+// fixedList is a member that returns the same ranking for every query.
+type fixedList []string
+
+func (l fixedList) Retrieve(_ *video.Video, m int) []retrieval.Result {
+	out := make([]retrieval.Result, 0, m)
+	for i := 0; i < m && i < len(l); i++ {
+		out = append(out, retrieval.Result{ID: l[i]})
+	}
+	return out
+}
+
+// TestEnsembleBreaksScoreTiesByID: two members with disjoint rankings
+// give five pairs of equal Borda scores, over ten fused entries, more
+// than a map's first eight-slot group holds, so the fusion map is walked
+// in hash order. Each tie must go to the smaller ID on every call.
+func TestEnsembleBreaksScoreTiesByID(t *testing.T) {
+	ens := NewEnsemble(fixedList{"q", "o", "m", "k", "i"}, fixedList{"p", "n", "l", "j", "h"})
+	const want = "p q n o l m j k h i"
+	for i := 0; i < 20; i++ {
+		if got := strings.Join(retrieval.IDs(ens.Retrieve(nil, 10)), " "); got != want {
+			t.Fatalf("call %d fused %q, want %q", i, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package defense
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"duo/internal/retrieval"
@@ -60,6 +61,23 @@ func TestMonitoredBlocksQueryAttack(t *testing.T) {
 	// Once blocked, always refused.
 	if _, err := svc.RetrieveAs("attacker", base, 5); err == nil {
 		t.Error("blocked account served again")
+	}
+	// Five more accounts blocked out of name order are listed sorted.
+	for _, account := range []string{"raider-4", "raider-1", "raider-3", "raider-0", "raider-2"} {
+		for i := 0; i < 15; i++ {
+			q := base.Clone()
+			q.Data.AddInPlace(tensor.RandNormal(rng, 0, 0.5, base.Data.Shape()...))
+			q.Clip()
+			if _, err := svc.RetrieveAs(account, q, 5); err != nil {
+				break
+			}
+		}
+	}
+	want := "attacker raider-0 raider-1 raider-2 raider-3 raider-4"
+	for i := 0; i < 20; i++ {
+		if got := strings.Join(svc.BlockedAccounts(), " "); got != want {
+			t.Fatalf("BlockedAccounts = %q, want sorted %q", got, want)
+		}
 	}
 }
 

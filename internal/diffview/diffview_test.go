@@ -21,17 +21,33 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestRowsMarksChangedAndOneSidedNames also pins the row order: both
+// maps hold their names out of order, five of them only in a and five
+// only in b, and the rows must come out sorted on every call.
 func TestRowsMarksChangedAndOneSidedNames(t *testing.T) {
-	var buf bytes.Buffer
-	Rows(&buf, 4, map[string]int{"b": 1, "a": 2, "gone": 3}, map[string]int{"b": 1, "a": 5, "new": 4},
-		func(a, b int) string { return fmt.Sprintf("%d→%d", a, b) })
+	a := map[string]int{"b": 1, "a": 2, "gone": 3, "x5": 5, "x1": 1, "x4": 4, "x2": 2, "x3": 3}
+	b := map[string]int{"b": 1, "a": 5, "new": 4, "y5": 5, "y1": 1, "y4": 4, "y2": 2, "y3": 3}
 	want := strings.Join([]string{
 		"* a    2→5",
 		"  b    1→1",
 		"* gone 3→0",
 		"* new  0→4",
+		"* x1   1→0",
+		"* x2   2→0",
+		"* x3   3→0",
+		"* x4   4→0",
+		"* x5   5→0",
+		"* y1   0→1",
+		"* y2   0→2",
+		"* y3   0→3",
+		"* y4   0→4",
+		"* y5   0→5",
 	}, "\n") + "\n"
-	if buf.String() != want {
-		t.Errorf("rows:\n%s\nwant:\n%s", buf.String(), want)
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		Rows(&buf, 4, a, b, func(a, b int) string { return fmt.Sprintf("%d→%d", a, b) })
+		if buf.String() != want {
+			t.Fatalf("call %d rows:\n%s\nwant:\n%s", i, buf.String(), want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,8 +40,8 @@ func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 		"ensemble", "stealth",
 	}
 	got := IDs()
-	if len(got) != len(want) {
-		t.Fatalf("IDs() = %v", got)
+	if len(got) != len(want) || !sort.StringsAreSorted(got) {
+		t.Fatalf("IDs() = %v, want the %d ids sorted", got, len(want))
 	}
 	have := map[string]bool{}
 	for _, id := range got {

@@ -3,11 +3,13 @@ package models
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"duo/internal/dataset"
 	"duo/internal/nn/losses"
 	"duo/internal/tensor"
+	"duo/internal/video"
 )
 
 var tinyGeom = Geometry{Frames: 8, Channels: 3, Height: 12, Width: 12}
@@ -40,8 +42,15 @@ func TestAllArchitecturesForwardShape(t *testing.T) {
 
 func TestBuildUnknownArchitecture(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Build("AlexNet", rng, tinyGeom, 8); err == nil {
-		t.Error("unknown architecture accepted")
+	_, err := Build("AlexNet", rng, tinyGeom, 8)
+	if err == nil {
+		t.Fatal("unknown architecture accepted")
+	}
+	// The registry map holds its seven names out of order; the list must
+	// come back sorted on every call.
+	const want = "(have [C3D CNNLSTM I3D Resnet18 Resnet34 SlowFast TPN])"
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("error %q does not end in the sorted list %s", err, want)
 	}
 }
 
@@ -140,6 +149,46 @@ func TestTrainReducesLoss(t *testing.T) {
 	}
 	if hist[len(hist)-1] >= hist[0] {
 		t.Errorf("loss did not decrease: %v", hist)
+	}
+}
+
+// TestTrainIgnoresLabelArrivalOrder trains twice on the same videos of
+// five categories, once with the categories first met in ascending order
+// and once in descending order, each category's own videos in the same
+// order both times. Train samples categories from its label list, so the
+// two models are bit-identical only if that list does not follow the
+// order a map of labels is walked in.
+func TestTrainIgnoresLabelArrivalOrder(t *testing.T) {
+	c, err := dataset.Generate(dataset.Config{
+		Name: "TrainOrder", Categories: 5, TrainPerCategory: 2, TestPerCategory: 1,
+		Frames: tinyGeom.Frames, Channels: tinyGeom.Channels,
+		Height: tinyGeom.Height, Width: tinyGeom.Width, Seed: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLabel := dataset.ByLabel(c.Train)
+	var up, down []*video.Video
+	for j := 0; j < 2; j++ {
+		for l := 0; l < 5; l++ {
+			up = append(up, byLabel[l][j])
+			down = append(down, byLabel[4-l][j])
+		}
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs, cfg.StepsPerEpoch = 1, 4
+	train := func(vids []*video.Video) Model {
+		m := NewC3D(rand.New(rand.NewSource(13)), tinyGeom, 8)
+		if _, err := Train(m, losses.Triplet{Margin: 0.2}, vids, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := train(up).Params(), train(down).Params()
+	for i := range a {
+		if !a[i].Value.Equal(b[i].Value, 0) {
+			t.Fatalf("param %s differs with the categories met in another order", a[i].Name)
+		}
 	}
 }
 

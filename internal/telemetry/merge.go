@@ -33,7 +33,7 @@ import (
 //
 // Every key iteration below either aggregates into a map (order-free) or
 // walks keys in sorted order, so the merge — including which histogram a
-// mismatch error names first — is deterministic (mapiter-clean).
+// mismatch error names first — is deterministic (TestMergeBoundsMismatchTypedError).
 
 // HistogramMergeError reports a bucket-layout mismatch between two
 // snapshots' histograms of the same name. Merging such histograms

@@ -148,6 +148,22 @@ func TestMergeBoundsMismatchTypedError(t *testing.T) {
 	if hme.Name != "h" || len(hme.A) != 3 || len(hme.B) != 2 {
 		t.Errorf("error detail = %+v", hme)
 	}
+
+	// With six mismatched histograms registered out of name order, the
+	// error names the first by name on every call, not the first the
+	// histogram map is walked to.
+	a, b = New(), New()
+	for _, name := range []string{"h5", "h2", "h4", "h0", "h3", "h1"} {
+		a.Histogram(name, []float64{1, 2, 3}).Observe(1)
+		b.Histogram(name, []float64{1, 2}).Observe(1)
+	}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	for i := 0; i < 20; i++ {
+		_, err := sa.Merge(sb)
+		if !errors.As(err, &hme) || hme.Name != "h0" {
+			t.Fatalf("call %d: merge error = %v, want one naming h0", i, err)
+		}
+	}
 }
 
 // TestMergeEmptyAndNil: the zero/empty/nil snapshot is the merge identity,

@@ -65,78 +65,3 @@ func SSIM(a, b *Video) float64 {
 	}
 	return total / float64(planes)
 }
-
-// SSIMWindowed returns the mean SSIM computed over sliding windows (the
-// reference formulation of Wang et al.), which is sensitive to localized
-// artifacts that the global statistic averages away. Window size adapts to
-// small frames (min(8, H, W)) with stride half the window.
-func SSIMWindowed(a, b *Video) float64 {
-	const (
-		c1 = (0.01 * PixelMax) * (0.01 * PixelMax)
-		c2 = (0.03 * PixelMax) * (0.03 * PixelMax)
-	)
-	h, w := a.Height(), a.Width()
-	win := 8
-	if h < win {
-		win = h
-	}
-	if w < win {
-		win = w
-	}
-	stride := win / 2
-	if stride < 1 {
-		stride = 1
-	}
-	n, cch := a.Frames(), a.Channels()
-	ad, bd := a.Data.Data(), b.Data.Data()
-	plane := h * w
-
-	total := 0.0
-	count := 0
-	for f := 0; f < n; f++ {
-		for c := 0; c < cch; c++ {
-			off := (f*cch + c) * plane
-			for y0 := 0; y0+win <= h; y0 += stride {
-				for x0 := 0; x0+win <= w; x0 += stride {
-					var muA, muB float64
-					for dy := 0; dy < win; dy++ {
-						row := off + (y0+dy)*w + x0
-						for dx := 0; dx < win; dx++ {
-							muA += ad[row+dx]
-							muB += bd[row+dx]
-						}
-					}
-					m := float64(win * win)
-					muA /= m
-					muB /= m
-					var varA, varB, cov float64
-					for dy := 0; dy < win; dy++ {
-						row := off + (y0+dy)*w + x0
-						for dx := 0; dx < win; dx++ {
-							da := ad[row+dx] - muA
-							db := bd[row+dx] - muB
-							varA += da * da
-							varB += db * db
-							cov += da * db
-						}
-					}
-					inv := 1 / (m - 1)
-					if win*win == 1 {
-						inv = 1
-					}
-					varA *= inv
-					varB *= inv
-					cov *= inv
-					num := (2*muA*muB + c1) * (2*cov + c2)
-					den := (muA*muA + muB*muB + c1) * (varA + varB + c2)
-					total += num / den
-					count++
-				}
-			}
-		}
-	}
-	if count == 0 {
-		return 1
-	}
-	return total / float64(count)
-}

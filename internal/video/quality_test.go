@@ -100,45 +100,3 @@ func TestPropPSNRSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSSIMWindowedIdentical(t *testing.T) {
-	v := randVideo(9)
-	if got := SSIMWindowed(v, v); math.Abs(got-1) > 1e-12 {
-		t.Errorf("windowed SSIM(v,v) = %g", got)
-	}
-}
-
-func TestSSIMWindowedPunishesLocalArtifacts(t *testing.T) {
-	// A concentrated local artifact should hurt windowed SSIM at least as
-	// much as the global statistic: the affected windows tank while the
-	// global moments barely move.
-	v := randVideo(10)
-	adv := v.Clone()
-	// Corrupt one 4×4 patch heavily in every frame.
-	for f := 0; f < adv.Frames(); f++ {
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				adv.Data.Set(255-adv.Data.At(f, 0, y, x), f, 0, y, x)
-			}
-		}
-	}
-	adv.Clip()
-	windowed := SSIMWindowed(v, adv)
-	global := SSIM(v, adv)
-	if windowed >= 1 {
-		t.Errorf("windowed SSIM = %g, want < 1", windowed)
-	}
-	if windowed > global+0.05 {
-		t.Errorf("windowed %g should not exceed global %g for local artifacts", windowed, global)
-	}
-}
-
-func TestSSIMWindowedTinyFrames(t *testing.T) {
-	// Frames smaller than the window must still work (window shrinks).
-	a := New(1, 1, 3, 3)
-	a.Data.Fill(100)
-	b := a.Clone()
-	if got := SSIMWindowed(a, b); math.Abs(got-1) > 1e-12 {
-		t.Errorf("tiny-frame SSIM = %g", got)
-	}
-}
