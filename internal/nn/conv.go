@@ -8,8 +8,8 @@ import (
 // parallelThreshold is the multiply-accumulate count from which a pass fans
 // out across workers: per filter for a convolution (the forward over output
 // rows, all filters of a row on one worker, the backward's weight pass over
-// filters and its dx pass over input rows), In·Out for a Linear layer. It
-// is a var so tests can lower it to force the parallel path on tiny layers.
+// filters and its dx pass over input rows). It is a var so tests can lower
+// it to force the parallel path on tiny layers.
 var parallelThreshold = 20000
 
 // convDims is the geometry of one convolution over flat row-major slices:
@@ -33,18 +33,9 @@ type convDims struct {
 
 func outDim(in, k, s, p int) int { return (in+2*p-k)/s + 1 }
 
-// convCache is what Conv2D and Conv3D keep for Backward.
+// convCache is what Conv2D and Conv3D keep for Backward: their input, a
+// copy unless the layer is frozen (see act.kept).
 type convCache struct{ x *tensor.Tensor }
-
-// newConvCache keeps the input for the weight gradient: a copy, since the
-// caller may reuse x. A frozen layer's Backward reads only x's shape, so it
-// keeps x itself.
-func newConvCache(w *Param, x *tensor.Tensor) *convCache {
-	if w.Frozen() {
-		return &convCache{x: x}
-	}
-	return &convCache{x: x.Clone()}
-}
 
 // workers is the fan-out of one pass: the active worker count when there is
 // enough arithmetic to amortize it, else 1.

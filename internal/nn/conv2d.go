@@ -18,8 +18,6 @@ type Conv2D struct {
 	B         *Param
 }
 
-var _ Layer = (*Conv2D)(nil)
-
 // NewConv2D returns a He-initialized 2-D convolution with square kernel k,
 // stride s, and "same"-style padding k/2.
 func NewConv2D(rng *rand.Rand, inC, outC, k, s int) *Conv2D {
@@ -68,12 +66,7 @@ func (l *Conv2D) dims(x *tensor.Tensor) convDims {
 
 // Forward implements Layer. The result is bitwise-identical at every worker
 // count (see convDims).
-func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	d := l.dims(x)
-	out := tensor.New(d.F, d.Ho, d.Wo)
-	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
-	return out, newConvCache(l.W, x)
-}
+func (l *Conv2D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer: W.Grad and B.Grad accumulate unless frozen, dx
 // is returned, all bitwise-identical at every worker count (see convDims).

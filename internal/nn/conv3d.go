@@ -18,8 +18,6 @@ type Conv3D struct {
 	B          *Param
 }
 
-var _ Layer = (*Conv3D)(nil)
-
 // NewConv3D returns a He-initialized 3-D convolution with cubic kernel k,
 // stride s in every dimension, and "same"-style padding k/2.
 func NewConv3D(rng *rand.Rand, inC, outC, k, s int) *Conv3D {
@@ -75,12 +73,7 @@ func (l *Conv3D) dims(x *tensor.Tensor) convDims {
 
 // Forward implements Layer. The result is bitwise-identical at every worker
 // count (see convDims).
-func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	d := l.dims(x)
-	out := tensor.New(d.F, d.To, d.Ho, d.Wo)
-	d.forward(x.Data(), l.W.Value.Data(), l.B.Value.Data(), out.Data())
-	return out, newConvCache(l.W, x)
-}
+func (l *Conv3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer: W.Grad and B.Grad accumulate unless frozen, dx
 // is returned, all bitwise-identical at every worker count (see convDims).

@@ -10,7 +10,7 @@ import (
 	"duo/internal/tensor"
 )
 
-// passThrough is a layer Infer does not know whose Forward returns its
+// passThrough is a layer the pass does not know whose Forward returns its
 // input itself, as a caller-written layer may.
 type passThrough struct{}
 

@@ -8,10 +8,13 @@
 // can be in flight at once (needed by batch metric losses, which backprop a
 // whole batch of embeddings through shared weights).
 //
-// Infer is the cache-free pass for a caller that will not backpropagate: it
-// gives Forward's bits, builds no Cache, and keeps its activations in a
-// pooled arena, so it allocates only the tensor it returns. Each layer's
-// arithmetic lives in one helper that Forward and Infer both call.
+// Each layer's forward is written once, as its case of one pass over the
+// layer graph that runs with a tape on or off. Forward is the pass with the
+// tape on, which also builds the Cache. Infer is the pass with the tape
+// off, for a caller that will not backpropagate: it keeps its activations
+// in a pooled arena and allocates only the tensor it returns. The pass runs
+// the Forward of LSTM, ChannelNorm, Timed and layers from outside the
+// package.
 package nn
 
 import (
@@ -73,21 +76,13 @@ type Sequential struct {
 	Layers []Layer
 }
 
-var _ Layer = (*Sequential)(nil)
-
 // NewSequential returns a Sequential over the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
 type seqCache struct{ caches []Cache }
 
 // Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	caches := make([]Cache, len(s.Layers))
-	for i, l := range s.Layers {
-		x, caches[i] = l.Forward(x)
-	}
-	return x, &seqCache{caches: caches}
-}
+func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(s, x) }
 
 // Backward implements Layer.
 func (s *Sequential) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -113,17 +108,10 @@ func (s *Sequential) Params() []*Param {
 // ReLU applies max(0, x) elementwise.
 type ReLU struct{}
 
-var _ Layer = ReLU{}
-
 type reluCache struct{ mask []bool }
 
 // Forward implements Layer.
-func (ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	out := x.Clone()
-	mask := make([]bool, out.Len())
-	relu(out.Data(), out.Data(), mask)
-	return out, &reluCache{mask: mask}
-}
+func (l ReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // relu writes max(0, v) for every v of src into dst, which may be src, and
 // marks the positive elements in mask unless mask is nil. A NaN is not
@@ -160,14 +148,10 @@ func (ReLU) Params() []*Param { return nil }
 // Flatten reshapes any input to rank 1. Backward restores the input shape.
 type Flatten struct{}
 
-var _ Layer = Flatten{}
-
 type flattenCache struct{ shape []int }
 
 // Forward implements Layer.
-func (Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	return x.Flatten().Clone(), &flattenCache{shape: x.Shape()}
-}
+func (l Flatten) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer.
 func (Flatten) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -182,22 +166,8 @@ func (Flatten) Params() []*Param { return nil }
 // used to normalize pixel ranges at model entry.
 type Scale struct{ Factor float64 }
 
-var _ Layer = Scale{}
-
 // Forward implements Layer.
-func (s Scale) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	var buf [maxStackRank]int
-	out := tensor.New(shapeOf(x, buf[:0])...)
-	scale(out.Data(), x.Data(), s.Factor)
-	return out, nil
-}
-
-// scale writes v·f for every v of src into dst, which may be src.
-func scale(dst, src []float64, f float64) {
-	for i, v := range src {
-		dst[i] = v * f
-	}
-}
+func (s Scale) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(s, x) }
 
 // Backward implements Layer.
 func (s Scale) Backward(_ Cache, gradOut *tensor.Tensor) *tensor.Tensor {

@@ -14,8 +14,6 @@ type MaxPool3D struct {
 	KT, KH, KW int
 }
 
-var _ Layer = MaxPool3D{}
-
 type maxPoolCache struct {
 	inShape []int
 	argmax  []int // flat input index of each output element's max
@@ -39,14 +37,7 @@ func (l MaxPool3D) window(in []int) (k, o [3]int) {
 }
 
 // Forward implements Layer.
-func (l MaxPool3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	in := x.Shape()
-	k, o := l.window(in)
-	out := tensor.New(in[0], o[0], o[1], o[2])
-	arg := make([]int, out.Len())
-	maxPool(out.Data(), arg, x.Data(), in, k, o)
-	return out, &maxPoolCache{inShape: in, argmax: arg}
-}
+func (l MaxPool3D) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // maxPool fills dst with the maximum of every window k of src (shape in),
 // the first one on a tie, and records its flat input index in arg unless
@@ -103,8 +94,6 @@ func (MaxPool3D) Params() []*Param { return nil }
 // slow-pathway models.
 type AvgPoolTime struct{ K int }
 
-var _ Layer = AvgPoolTime{}
-
 type avgPoolTimeCache struct {
 	inShape []int
 	k       int
@@ -121,13 +110,7 @@ func (l AvgPoolTime) window(in []int) (k, to int) {
 }
 
 // Forward implements Layer.
-func (l AvgPoolTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	in := x.Shape()
-	k, to := l.window(in)
-	out := tensor.New(in[0], to, in[2], in[3])
-	avgPoolTime(out.Data(), x.Data(), in, k, to)
-	return out, &avgPoolTimeCache{inShape: in, k: k}
-}
+func (l AvgPoolTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // avgPoolTime adds into dst, zero on entry, the average of every k
 // consecutive frames of src (shape in), to output frames.
@@ -181,18 +164,10 @@ func (AvgPoolTime) Params() []*Param { return nil }
 // [C, ...] to [C].
 type GlobalAvgPool struct{}
 
-var _ Layer = GlobalAvgPool{}
-
 type gapCache struct{ inShape []int }
 
 // Forward implements Layer.
-func (GlobalAvgPool) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	in := x.Shape()
-	checkFramed("GlobalAvgPool", in)
-	out := tensor.New(in[0])
-	globalAvg(out.Data(), x.Data())
-	return out, &gapCache{inShape: in}
-}
+func (l GlobalAvgPool) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // globalAvg writes into dst[c] the mean of the c-th of len(dst) equal
 // parts of src: their sum in ascending order over their count, as

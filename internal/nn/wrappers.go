@@ -11,8 +11,6 @@ import (
 // layout that Conv3D expects (and back).
 type SwapCT struct{}
 
-var _ Layer = SwapCT{}
-
 // swapDims checks that in is rank 4 and returns it as A, B, H, W.
 func swapDims(in []int) (a, b, h, w int) {
 	if len(in) != 4 {
@@ -31,19 +29,17 @@ func swapInto(dst, src []float64, a, b, hw int) {
 	}
 }
 
-func swap01(x *tensor.Tensor) *tensor.Tensor {
-	var buf [maxStackRank]int
-	A, B, H, W := swapDims(shapeOf(x, buf[:0]))
-	out := tensor.New(B, A, H, W)
-	swapInto(out.Data(), x.Data(), A, B, H*W)
-	return out
-}
-
 // Forward implements Layer.
-func (SwapCT) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return swap01(x), nil }
+func (l SwapCT) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer.
-func (SwapCT) Backward(_ Cache, gradOut *tensor.Tensor) *tensor.Tensor { return swap01(gradOut) }
+func (SwapCT) Backward(_ Cache, gradOut *tensor.Tensor) *tensor.Tensor {
+	var buf [maxStackRank]int
+	A, B, H, W := swapDims(shapeOf(gradOut, buf[:0]))
+	dx := tensor.New(B, A, H, W)
+	swapInto(dx.Data(), gradOut.Data(), A, B, H*W)
+	return dx
+}
 
 // Params implements Layer.
 func (SwapCT) Params() []*Param { return nil }
@@ -53,30 +49,13 @@ func (SwapCT) Params() []*Param { return nil }
 // a Conv2D inner layer it implements per-frame 2-D convolution.
 type TimeDistributed struct{ Inner Layer }
 
-var _ Layer = (*TimeDistributed)(nil)
-
 type timeDistCache struct {
 	caches []Cache
 	shape  []int
 }
 
 // Forward implements Layer.
-func (l *TimeDistributed) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	var buf [maxStackRank]int
-	checkFramed("TimeDistributed", shapeOf(x, buf[:0]))
-	n := x.Dim(0)
-	caches := make([]Cache, n)
-	var out *tensor.Tensor
-	for i := 0; i < n; i++ {
-		y, c := l.Inner.Forward(x.Slice(i))
-		caches[i] = c
-		if out == nil {
-			out = tensor.New(append([]int{n}, y.Shape()...)...)
-		}
-		out.Slice(i).CopyFrom(y)
-	}
-	return out, &timeDistCache{caches: caches, shape: x.Shape()}
-}
+func (l *TimeDistributed) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer.
 func (l *TimeDistributed) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -109,35 +88,13 @@ type Residual struct {
 	Proj  Layer
 }
 
-var _ Layer = (*Residual)(nil)
-
 type residualCache struct {
 	inner Cache
 	proj  Cache
 }
 
 // Forward implements Layer.
-func (l *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	y, ic := l.Inner.Forward(x)
-	var pc Cache
-	skip := x
-	if l.Proj != nil {
-		skip, pc = l.Proj.Forward(x)
-	}
-	if !y.SameShape(skip) {
-		panic(fmt.Sprintf("nn: Residual: inner output %v, skip %v", y.Shape(), skip.Shape()))
-	}
-	out := y.Clone()
-	add(out.Data(), out.Data(), skip.Data())
-	return out, &residualCache{inner: ic, proj: pc}
-}
-
-// add writes a[i] + b[i] into dst[i], which may alias a.
-func add(dst, a, b []float64) {
-	for i, v := range b {
-		dst[i] = a[i] + v
-	}
-}
+func (l *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer.
 func (l *Residual) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -165,45 +122,13 @@ func (l *Residual) Params() []*Param {
 // (SlowFast) and temporal-pyramid (TPN) models.
 type Parallel struct{ Branches []Layer }
 
-var _ Layer = (*Parallel)(nil)
-
 type parallelCache struct {
 	caches []Cache
 	sizes  []int
 }
 
 // Forward implements Layer.
-func (l *Parallel) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	caches := make([]Cache, len(l.Branches))
-	sizes := make([]int, len(l.Branches))
-	parts := make([][]float64, len(l.Branches))
-	total := 0
-	for i, br := range l.Branches {
-		y, c := br.Forward(x)
-		checkBranch(i, y.Rank())
-		caches[i] = c
-		sizes[i] = y.Len()
-		total += y.Len()
-		parts[i] = y.Data()
-	}
-	out := tensor.New(total)
-	concat(out.Data(), parts)
-	return out, &parallelCache{caches: caches, sizes: sizes}
-}
-
-func checkBranch(i, rank int) {
-	if rank != 1 {
-		panic(fmt.Sprintf("nn: Parallel branch %d output rank %d, want 1", i, rank))
-	}
-}
-
-// concat writes parts one after another into dst.
-func concat(dst []float64, parts [][]float64) {
-	off := 0
-	for _, p := range parts {
-		off += copy(dst[off:], p)
-	}
-}
+func (l *Parallel) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // Backward implements Layer.
 func (l *Parallel) Backward(c Cache, gradOut *tensor.Tensor) *tensor.Tensor {
@@ -237,30 +162,13 @@ func (l *Parallel) Params() []*Param {
 // SlowFast analogue uses it to thin the frame rate.
 type SubsampleTime struct{ K int }
 
-var _ Layer = SubsampleTime{}
-
 type subsampleCache struct {
 	inShape []int
 	kept    []int
 }
 
 // Forward implements Layer.
-func (l SubsampleTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
-	shape := x.Shape()
-	checkFramed("SubsampleTime", shape)
-	n, k := shape[0], l.k()
-	var kept []int
-	for i := 0; i < n; i += k {
-		kept = append(kept, i)
-	}
-	shape[0] = len(kept)
-	out := tensor.New(shape...)
-	subsample(out.Data(), x.Data(), n, k)
-	return out, &subsampleCache{inShape: x.Shape(), kept: kept}
-}
-
-// k is the stride, at least 1.
-func (l SubsampleTime) k() int { return max(l.K, 1) }
+func (l SubsampleTime) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) { return forward(l, x) }
 
 // subsample copies slices 0, k, 2k, … of src's n slices into dst, one
 // after another.

@@ -41,7 +41,7 @@ func From(data []float64, shape ...int) *Tensor {
 	t := New(shape...)
 	if len(data) != len(t.data) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)",
-			len(data), shape, len(t.data)))
+			len(data), t.shape, len(t.data)))
 	}
 	copy(t.data, data)
 	return t
@@ -61,7 +61,7 @@ func Wrap(data []float64, shape ...int) *Tensor {
 	}
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)",
-			len(data), shape, n))
+			len(data), append([]int(nil), shape...), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), strides: stridesFor(shape), data: data}
 }
