@@ -1,6 +1,7 @@
-// Package opt implements the optimizers used for victim/surrogate training
-// (Adam, per [44] in the paper) and for the SparseTransfer θ-step (SGD with
-// the paper's step-decay schedule: lr 0.1, ×0.9 every 50 steps, §V-B).
+// Package opt implements the optimizer used for victim/surrogate training
+// (Adam, per [44] in the paper) and the paper's step-decay learning-rate
+// schedule for the SparseTransfer θ-step (lr 0.1, ×0.9 every 50 steps,
+// §V-B).
 package opt
 
 import (
@@ -15,38 +16,6 @@ type Optimizer interface {
 	// Step applies one update using each parameter's current .Grad and
 	// then leaves the gradients untouched (callers zero them).
 	Step(params []*nn.Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*nn.Param]*tensor.Tensor
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*nn.Param]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			p.Value.AddScaled(-o.LR, p.Grad)
-			continue
-		}
-		v, ok := o.velocity[p]
-		if !ok {
-			v = tensor.New(p.Value.Shape()...)
-			o.velocity[p] = v
-		}
-		v.ScaleInPlace(o.Momentum).AddScaled(1, p.Grad)
-		p.Value.AddScaled(-o.LR, v)
-	}
 }
 
 // Adam is the Adam optimizer (Kingma & Ba, ICLR'15).

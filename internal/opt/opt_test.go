@@ -20,30 +20,6 @@ func quadratic(p *nn.Param) float64 {
 	return loss
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := nn.NewParam("x", tensor.From([]float64{3, -4}, 2))
-	o := NewSGD(0.1, 0)
-	for i := 0; i < 100; i++ {
-		quadratic(p)
-		o.Step([]*nn.Param{p})
-	}
-	if quadratic(p) > 1e-6 {
-		t.Errorf("SGD did not converge: loss %g", quadratic(p))
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	p := nn.NewParam("x", tensor.From([]float64{3, -4}, 2))
-	o := NewSGD(0.05, 0.9)
-	for i := 0; i < 200; i++ {
-		quadratic(p)
-		o.Step([]*nn.Param{p})
-	}
-	if quadratic(p) > 1e-6 {
-		t.Errorf("momentum SGD did not converge: loss %g", quadratic(p))
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := nn.NewParam("x", tensor.From([]float64{3, -4}, 2))
 	o := NewAdam(0.2)
@@ -95,20 +71,5 @@ func TestZeroGrads(t *testing.T) {
 	ZeroGrads([]*nn.Param{p})
 	if p.Grad.Sum() != 0 {
 		t.Error("ZeroGrads left gradient nonzero")
-	}
-}
-
-func TestSGDDistinctParamsIndependentVelocity(t *testing.T) {
-	a := nn.NewParam("a", tensor.From([]float64{1}, 1))
-	b := nn.NewParam("b", tensor.From([]float64{1}, 1))
-	o := NewSGD(0.1, 0.9)
-	a.Grad.Set(1, 0)
-	b.Grad.Set(0, 0)
-	o.Step([]*nn.Param{a, b})
-	if b.Value.At(0) != 1 {
-		t.Error("param with zero grad moved")
-	}
-	if a.Value.At(0) >= 1 {
-		t.Error("param with grad did not move")
 	}
 }

@@ -121,15 +121,24 @@ func (s *Snapshot) Render() string {
 	var b strings.Builder
 	b.WriteString("== telemetry ==\n")
 
+	// Counters and gauges share one sorted list of names; a name of both
+	// kinds gets both rows, the counter's first.
 	names := make([]string, 0, len(s.Counters)+len(s.Gauges))
-	names = append(names, sortedKeys(s.Counters)...)
-	names = append(names, sortedKeys(s.Gauges)...)
+	for k := range s.Counters {
+		names = append(names, k)
+	}
+	for k := range s.Gauges {
+		if _, dup := s.Counters[k]; !dup {
+			names = append(names, k)
+		}
+	}
 	sort.Strings(names)
 	for _, k := range names {
 		if v, ok := s.Counters[k]; ok {
 			fmt.Fprintf(&b, "%-36s %12d\n", k, v)
-		} else {
-			fmt.Fprintf(&b, "%-36s %12d (gauge)\n", k, s.Gauges[k])
+		}
+		if v, ok := s.Gauges[k]; ok {
+			fmt.Fprintf(&b, "%-36s %12d (gauge)\n", k, v)
 		}
 	}
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -298,6 +299,36 @@ func TestPublishExpvarIsIdempotent(t *testing.T) {
 	r := New()
 	r.PublishExpvar("duo-test-registry")
 	r.PublishExpvar("duo-test-registry") // second call must not panic
+}
+
+// TestRenderListsCountersAndGaugesOnce renders five counters and five
+// gauges, inserted out of order, with "x" registered as both kinds: every
+// name gets one row per kind it has, each with its own value, in one
+// sorted list.
+func TestRenderListsCountersAndGaugesOnce(t *testing.T) {
+	r := New()
+	for i, name := range []string{"x", "e", "a", "m", "c"} {
+		r.Counter(name).Add(int64(i + 1))
+	}
+	for i, name := range []string{"x", "b", "z", "d", "k"} {
+		r.Gauge(name).Set(int64(10*i + 2))
+	}
+	var want strings.Builder
+	want.WriteString("== telemetry ==\n")
+	for _, row := range []struct {
+		name, kind string
+		v          int
+	}{
+		{"a", "", 3}, {"b", " (gauge)", 12}, {"c", "", 5}, {"d", " (gauge)", 32}, {"e", "", 2},
+		{"k", " (gauge)", 42}, {"m", "", 4}, {"x", "", 1}, {"x", " (gauge)", 2}, {"z", " (gauge)", 22},
+	} {
+		fmt.Fprintf(&want, "%-36s %12d%s\n", row.name, row.v, row.kind)
+	}
+	for call := 0; call < 20; call++ {
+		if got := r.Summary(); got != want.String() {
+			t.Fatalf("call %d rendered\n%s\nwant\n%s", call, got, want.String())
+		}
+	}
 }
 
 func TestSummaryRendersEverything(t *testing.T) {
