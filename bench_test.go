@@ -3,9 +3,11 @@ package duo
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation as a Go benchmark (one Benchmark per artifact, per the
 // experiment index in DESIGN.md §4), plus end-to-end pipeline benchmarks
-// of the public API. Each iteration rebuilds the full scenario — corpus,
-// victims, surrogates, attacks — so the reported time is the cost of
-// regenerating the artifact from scratch at Tiny scale.
+// of the public API. Each iteration builds a fresh experiments.Scenario, so
+// it rebuilds the full scenario — corpus, victims, surrogates, attacks — and
+// the reported time is the cost of regenerating the artifact from scratch at
+// Tiny scale. (cmd/duobench shares one Scenario across the experiments of a
+// run, so its per-experiment times exclude artifacts built before.)
 //
 // Run: go test -bench=. -benchmem
 
@@ -30,7 +32,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Run(id, benchOptions())
+		tab, err := experiments.Run(id, experiments.NewScenario(benchOptions()))
 		if err != nil {
 			b.Fatal(err)
 		}

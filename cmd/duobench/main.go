@@ -9,6 +9,12 @@
 //	duobench -list                   # show experiment ids
 //	duobench -bench pq               # PQ recall/crossover sweep → BENCH_pq.json
 //
+// One run builds one experiments.Scenario and passes it to every -exp id, so
+// each corpus, victim and surrogate is trained once however many experiments
+// use it. A "finished in" line therefore times an experiment without the
+// artifacts an earlier experiment of the same run already built; the tables
+// are the same as those of one run per id.
+//
 // Add -markdown to emit GitHub tables (used to build EXPERIMENTS.md).
 // Performance questions other than the PQ sweep belong to the benchmark in
 // bench/ (BENCHMARK.json), not to this command.
@@ -110,9 +116,10 @@ func run(args []string) error {
 	if *expFlag != "all" {
 		ids = strings.Split(*expFlag, ",")
 	}
+	s := experiments.NewScenario(opts)
 	for _, id := range ids {
 		start := time.Now() //duolint:allow walltime operator-facing progress timing; never feeds a result
-		tab, err := experiments.Run(strings.TrimSpace(id), opts)
+		tab, err := experiments.Run(strings.TrimSpace(id), s)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

@@ -205,7 +205,7 @@ func NewSystem(opts SystemOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	loss, err := buildLoss(opts.VictimLoss, rng, opts.Categories, opts.FeatureDim)
+	loss, err := losses.ByName(opts.VictimLoss, rng, opts.Categories, opts.FeatureDim)
 	if err != nil {
 		return nil, err
 	}
@@ -231,21 +231,6 @@ func NewSystem(opts SystemOptions) (*System, error) {
 		sys.Victim = sys.engine
 	}
 	return sys, nil
-}
-
-func buildLoss(name string, rng *rand.Rand, classes, dim int) (losses.MetricLoss, error) {
-	switch name {
-	case "ArcFaceLoss":
-		return losses.NewArcFace(rng, classes, dim), nil
-	case "LiftedLoss":
-		return losses.Lifted{Margin: 1.0}, nil
-	case "AngularLoss":
-		return losses.Angular{AlphaDeg: 40}, nil
-	case "Triplet":
-		return losses.Triplet{Margin: 0.2}, nil
-	default:
-		return nil, fmt.Errorf("duo: unknown loss %q", name)
-	}
 }
 
 // Close releases distributed resources, if any.

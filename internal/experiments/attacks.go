@@ -159,14 +159,19 @@ func (s *Scenario) runDUOCell(victim *retrieval.Engine, surr models.Model, pairs
 	})
 }
 
-// surrogateFor resolves the surrogate backbone an attack variant uses.
-func (s *Scenario) surrogateFor(ds, victimArch, attackName string) (models.Model, error) {
-	arch := "C3D"
+// surrogateArch names the surrogate backbone of a transfer attack variant:
+// the "-Res18" variants steal a Resnet18, every other one a C3D.
+func surrogateArch(attackName string) string {
 	switch attackName {
 	case "TIMI-Res18", "DUO-Res18":
-		arch = "Resnet18"
+		return "Resnet18"
 	}
-	return s.Surrogate(ds, victimArch, DefaultVictimLoss, arch, s.P.StealCap, s.P.FeatDim)
+	return "C3D"
+}
+
+// surrogateFor resolves the surrogate an attack variant uses.
+func (s *Scenario) surrogateFor(ds, victimArch, attackName string) (models.Model, error) {
+	return s.Surrogate(ds, victimArch, DefaultVictimLoss, surrogateArch(attackName), s.P.StealCap, s.P.FeatDim)
 }
 
 // runDUO assembles a core.Config from a Budget and runs the pipeline.

@@ -6,9 +6,8 @@ import "fmt"
 const ablationVictim = "I3D"
 
 // runAblation renders a two-row comparison of a DUO design choice.
-func runAblation(o Options, id, title string, variants []string, mutate func(*Budget, int)) (*Table, error) {
-	s := NewScenario(o)
-	ds := o.datasets()[0]
+func runAblation(s *Scenario, id, title string, variants []string, mutate func(*Budget, int)) (*Table, error) {
+	ds := s.Opts.datasets()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err
@@ -32,8 +31,8 @@ func runAblation(o Options, id, title string, variants []string, mutate func(*Bu
 
 // AblationNDCG compares the NDCG-weighted ℍ against plain set overlap in
 // the SparseQuery objective (DESIGN.md §6).
-func AblationNDCG(o Options) (*Table, error) {
-	return runAblation(o, "ablation-ndcg",
+func AblationNDCG(s *Scenario) (*Table, error) {
+	return runAblation(s, "ablation-ndcg",
 		"𝕋 similarity: NDCG-weighted ℍ vs plain overlap",
 		[]string{"NDCG", "plain-overlap"},
 		func(b *Budget, vi int) { b.UseNDCG = vi == 0 })
@@ -41,8 +40,8 @@ func AblationNDCG(o Options) (*Table, error) {
 
 // AblationDCT compares the paper's Cartesian SparseQuery basis against the
 // low-frequency DCT basis of SimBA-DCT (an extension beyond the paper).
-func AblationDCT(o Options) (*Table, error) {
-	t, err := runAblation(o, "ablation-dct",
+func AblationDCT(s *Scenario) (*Table, error) {
+	t, err := runAblation(s, "ablation-dct",
 		"SparseQuery basis: Cartesian (paper) vs low-frequency DCT",
 		[]string{"Cartesian", "DCT"},
 		func(b *Budget, vi int) { b.UseDCT = vi == 1 })
@@ -57,9 +56,8 @@ func AblationDCT(o Options) (*Table, error) {
 // AblationMask compares DUO's masked SimBA query stage against an unmasked
 // (dense) SimBA with the same query budget: the masked variant keeps Spa
 // low at comparable AP@m (DESIGN.md §6).
-func AblationMask(o Options) (*Table, error) {
-	s := NewScenario(o)
-	ds := o.datasets()[0]
+func AblationMask(s *Scenario) (*Table, error) {
+	ds := s.Opts.datasets()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err

@@ -14,9 +14,8 @@ import (
 // attacks"): DUO-C3D, with its surrogate stolen from the single I3D
 // service, is launched against (a) that single-backbone victim and (b) a
 // Borda-fused ensemble of three backbones over the same gallery.
-func EnsembleDefense(o Options) (*Table, error) {
-	s := NewScenario(o)
-	ds := o.datasets()[0]
+func EnsembleDefense(s *Scenario) (*Table, error) {
+	ds := s.Opts.datasets()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err

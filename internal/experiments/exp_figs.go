@@ -9,24 +9,23 @@ import (
 
 // Fig3VictimMAP reproduces Fig. 3: mAPs of every victim backbone × loss
 // function on both datasets.
-func Fig3VictimMAP(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Fig3VictimMAP(s *Scenario) (*Table, error) {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "mAPs on different (victim) video retrieval systems",
-		Headers: append([]string{"Dataset", "Loss"}, o.victimArchs()...),
+		Headers: append([]string{"Dataset", "Loss"}, s.Opts.victimArchs()...),
 		Notes: []string{
 			"paper shape: loss choice matters more on the smaller dataset; best combo is dataset-dependent",
 		},
 	}
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		c, err := s.Corpus(ds)
 		if err != nil {
 			return nil, err
 		}
 		for _, loss := range VictimLossNames() {
 			row := []string{ds, loss}
-			for _, arch := range o.victimArchs() {
+			for _, arch := range s.Opts.victimArchs() {
 				eng, err := s.Victim(ds, arch, loss)
 				if err != nil {
 					return nil, err
@@ -41,8 +40,7 @@ func Fig3VictimMAP(o Options) (*Table, error) {
 
 // Fig4SurrogateMAP reproduces Fig. 4: surrogate retrieval mAP as a function
 // of (a) the stolen dataset size and (b) the output feature size.
-func Fig4SurrogateMAP(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Fig4SurrogateMAP(s *Scenario) (*Table, error) {
 	t := &Table{
 		ID:      "fig4",
 		Title:   "surrogate mAP vs # of stolen samples and output feature size",
@@ -54,7 +52,7 @@ func Fig4SurrogateMAP(o Options) (*Table, error) {
 	const victimArch = "SlowFast"
 	sizes := stealSizes(s.P.StealCap)
 	feats := featSizes(s.P.FeatDim)
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		c, err := s.Corpus(ds)
 		if err != nil {
 			return nil, err
@@ -110,10 +108,9 @@ func featSizes(base int) []int {
 
 // Fig5QueryCurves reproduces Fig. 5: the objective 𝕋 as a function of the
 // number of queries, for the query-based attacks.
-func Fig5QueryCurves(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Fig5QueryCurves(s *Scenario) (*Table, error) {
 	const victimArch = "TPN"
-	ds := o.datasets()[0]
+	ds := s.Opts.datasets()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err

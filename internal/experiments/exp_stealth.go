@@ -12,10 +12,9 @@ import (
 // families capture different stealth notions — sparsity (how many pixels
 // change) versus amplitude (how much each pixel changes) — and the table
 // reports both without conflating them.
-func StealthComparison(o Options) (*Table, error) {
-	s := NewScenario(o)
-	ds := o.datasets()[0]
-	victimArch := o.victimArchs()[0]
+func StealthComparison(s *Scenario) (*Table, error) {
+	ds := s.Opts.datasets()[0]
+	victimArch := s.Opts.victimArchs()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err

@@ -11,9 +11,8 @@ import (
 // Table9Transfer reproduces Table IX: the transferability of
 // SparseTransfer-only adversarial examples under ℓ2 and ℓ∞ constraints,
 // compared with TIMI, across victim backbones (UCF101 in the paper).
-func Table9Transfer(o Options) (*Table, error) {
-	s := NewScenario(o)
-	ds := o.datasets()[0]
+func Table9Transfer(s *Scenario) (*Table, error) {
+	ds := s.Opts.datasets()[0]
 	pairs, err := s.Pairs(ds)
 	if err != nil {
 		return nil, err
@@ -60,7 +59,7 @@ func Table9Transfer(o Options) (*Table, error) {
 			return s.runAttackCell("DUO-Res18", ds, arch, pairs, b)
 		}},
 	}
-	for _, arch := range o.victimArchs() {
+	for _, arch := range s.Opts.victimArchs() {
 		for _, v := range variants {
 			cs, err := v.run(arch)
 			if err != nil {
@@ -75,8 +74,7 @@ func Table9Transfer(o Options) (*Table, error) {
 // Table10Defenses reproduces Table X: the detection rate of feature
 // squeezing and Noise2Self against each attack's adversarial examples
 // (victim: I3D, as in the paper).
-func Table10Defenses(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table10Defenses(s *Scenario) (*Table, error) {
 	const victimArch = "I3D"
 	t := &Table{
 		ID:      "table10",
@@ -88,7 +86,7 @@ func Table10Defenses(o Options) (*Table, error) {
 	}
 	b := s.DefaultBudget()
 	attacks := []string{"Vanilla", "TIMI-C3D", "TIMI-Res18", "HEU-Nes", "HEU-Sim", "DUO-C3D", "DUO-Res18"}
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		c, err := s.Corpus(ds)
 		if err != nil {
 			return nil, err

@@ -6,8 +6,7 @@ import (
 
 // Table2AttackComparison reproduces Table II: AP@m / Spa / PScore for every
 // attack on every victim backbone and both datasets.
-func Table2AttackComparison(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table2AttackComparison(s *Scenario) (*Table, error) {
 	t := &Table{
 		ID:      "table2",
 		Title:   "attack performance of different AE attacks",
@@ -18,12 +17,12 @@ func Table2AttackComparison(o Options) (*Table, error) {
 		},
 	}
 	b := s.DefaultBudget()
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		pairs, err := s.Pairs(ds)
 		if err != nil {
 			return nil, err
 		}
-		for _, arch := range o.victimArchs() {
+		for _, arch := range s.Opts.victimArchs() {
 			for _, name := range AttackNames() {
 				cs, err := s.runAttackCell(name, ds, arch, pairs, b)
 				if err != nil {
@@ -49,14 +48,13 @@ var duoVariants = []string{"DUO-C3D", "DUO-Res18"}
 
 // runSweep renders a sweep table: for each dataset × DUO variant × swept
 // value it reports AP@m / Spa / PScore.
-func runSweep(o Options, id, title, param string, values []string, mutate func(*Budget, int)) (*Table, error) {
-	s := NewScenario(o)
+func runSweep(s *Scenario, id, title, param string, values []string, mutate func(*Budget, int)) (*Table, error) {
 	t := &Table{
 		ID:      id,
 		Title:   title,
 		Headers: []string{"Dataset", "Attack", param, "AP@m", "Spa", "PScore"},
 	}
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		pairs, err := s.Pairs(ds)
 		if err != nil {
 			return nil, err
@@ -78,8 +76,7 @@ func runSweep(o Options, id, title, param string, values []string, mutate func(*
 
 // Table3SurrogateSize reproduces Table III: DUO with different surrogate
 // dataset sizes.
-func Table3SurrogateSize(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table3SurrogateSize(s *Scenario) (*Table, error) {
 	sizes := stealSizes(s.P.StealCap)
 	t := &Table{
 		ID:      "table3",
@@ -90,19 +87,16 @@ func Table3SurrogateSize(o Options) (*Table, error) {
 		},
 	}
 	b := s.DefaultBudget()
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		pairs, err := s.Pairs(ds)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range duoVariants {
-			arch := "C3D"
-			if name == "DUO-Res18" {
-				arch = "Resnet18"
-			}
+			arch := surrogateArch(name)
 			for _, sz := range sizes {
 				// Build (and cache) the surrogate at this cap, then run DUO
-				// with it by temporarily overriding the scenario cap.
+				// with it.
 				surr, err := s.Surrogate(ds, sweepVictim, DefaultVictimLoss, arch, sz, s.P.FeatDim)
 				if err != nil {
 					return nil, err
@@ -124,8 +118,7 @@ func Table3SurrogateSize(o Options) (*Table, error) {
 
 // Table4VictimLoss reproduces Table IV: DUO against victims trained with
 // different loss functions.
-func Table4VictimLoss(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table4VictimLoss(s *Scenario) (*Table, error) {
 	t := &Table{
 		ID:      "table4",
 		Title:   "DUO vs victim models trained with different loss functions",
@@ -135,16 +128,13 @@ func Table4VictimLoss(o Options) (*Table, error) {
 		},
 	}
 	b := s.DefaultBudget()
-	for _, ds := range o.datasets() {
+	for _, ds := range s.Opts.datasets() {
 		pairs, err := s.Pairs(ds)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range duoVariants {
-			arch := "C3D"
-			if name == "DUO-Res18" {
-				arch = "Resnet18"
-			}
+			arch := surrogateArch(name)
 			for _, lossName := range VictimLossNames() {
 				victim, err := s.Victim(ds, sweepVictim, lossName)
 				if err != nil {
@@ -168,8 +158,7 @@ func Table4VictimLoss(o Options) (*Table, error) {
 // Table5KSweep reproduces Table V: the pixel budget k sweep. The paper
 // sweeps 20K–50K of 602,112 elements (0.5×–1.25× its default k); we sweep
 // the same multiples of the scaled default.
-func Table5KSweep(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table5KSweep(s *Scenario) (*Table, error) {
 	base := s.DefaultBudget().K
 	ks := []int{base / 2, base * 3 / 4, base, base * 5 / 4}
 	elems := s.P.Frames * 3 * s.P.Height * s.P.Width
@@ -183,7 +172,7 @@ func Table5KSweep(o Options) (*Table, error) {
 		}
 		labels[i] = fmt.Sprint(ks[i])
 	}
-	t, err := runSweep(o, "table5", "DUO with n fixed and k swept (paper: 20K–50K)", "k",
+	t, err := runSweep(s, "table5", "DUO with n fixed and k swept (paper: 20K–50K)", "k",
 		labels, func(b *Budget, vi int) { b.K = ks[vi] })
 	if err != nil {
 		return nil, err
@@ -193,8 +182,7 @@ func Table5KSweep(o Options) (*Table, error) {
 }
 
 // Table6NSweep reproduces Table VI: the frame budget n sweep (2–5).
-func Table6NSweep(o Options) (*Table, error) {
-	s := NewScenario(o)
+func Table6NSweep(s *Scenario) (*Table, error) {
 	// The paper sweeps n = 2..5 of 16 frames (0.5×–1.25× its default n);
 	// sweep the same multiples of the scaled default.
 	base := s.DefaultBudget().N
@@ -213,7 +201,7 @@ func Table6NSweep(o Options) (*Table, error) {
 	for i, n := range ns {
 		labels[i] = fmt.Sprint(n)
 	}
-	t, err := runSweep(o, "table6", "DUO with k fixed and n swept (paper: 2–5)", "n",
+	t, err := runSweep(s, "table6", "DUO with k fixed and n swept (paper: 2–5)", "n",
 		labels, func(b *Budget, vi int) { b.N = ns[vi] })
 	if err != nil {
 		return nil, err
@@ -223,13 +211,13 @@ func Table6NSweep(o Options) (*Table, error) {
 }
 
 // Table7TauSweep reproduces Table VII: the magnitude budget τ sweep.
-func Table7TauSweep(o Options) (*Table, error) {
+func Table7TauSweep(s *Scenario) (*Table, error) {
 	taus := []float64{20, 30, 40, 50}
 	labels := make([]string, len(taus))
 	for i, tau := range taus {
 		labels[i] = fmt.Sprint(tau)
 	}
-	t, err := runSweep(o, "table7", "DUO with different perturbation budgets τ", "tau",
+	t, err := runSweep(s, "table7", "DUO with different perturbation budgets τ", "tau",
 		labels, func(b *Budget, vi int) { b.Tau = taus[vi] })
 	if err != nil {
 		return nil, err
@@ -239,10 +227,10 @@ func Table7TauSweep(o Options) (*Table, error) {
 }
 
 // Table8IterNumH reproduces Table VIII: the pipeline-loop count sweep.
-func Table8IterNumH(o Options) (*Table, error) {
+func Table8IterNumH(s *Scenario) (*Table, error) {
 	iters := []int{1, 2, 3, 4}
 	labels := []string{"1", "2", "3", "4"}
-	t, err := runSweep(o, "table8", "DUO with different iter_numH", "iter_numH",
+	t, err := runSweep(s, "table8", "DUO with different iter_numH", "iter_numH",
 		labels, func(b *Budget, vi int) { b.IterNumH = iters[vi] })
 	if err != nil {
 		return nil, err

@@ -160,8 +160,9 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Runner executes one experiment.
-type Runner func(Options) (*Table, error)
+// Runner executes one experiment over the run's Scenario, reusing every
+// corpus, victim and surrogate an earlier experiment of the run built.
+type Runner func(*Scenario) (*Table, error)
 
 // registry maps experiment ids to runners.
 var registry = map[string]Runner{
@@ -194,11 +195,13 @@ func IDs() []string {
 	return out
 }
 
-// Run executes an experiment by id.
-func Run(id string, o Options) (*Table, error) {
+// Run executes an experiment by id over s. Experiments that share s share
+// its cached artifacts; their tables are those of a fresh Scenario each,
+// because every artifact is seeded from its own key.
+func Run(id string, s *Scenario) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	return r(o)
+	return r(s)
 }

@@ -26,7 +26,7 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("table99", DefaultOptions()); err == nil {
+	if _, err := Run("table99", NewScenario(DefaultOptions())); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -96,6 +96,41 @@ func TestScenarioCachesVictims(t *testing.T) {
 	}
 }
 
+// TestSharedScenarioMatchesFresh runs experiments that share the I3D victim
+// and its C3D surrogate over one Scenario, as cmd/duobench does, and checks
+// every cell against the same experiment on a Scenario of its own: an
+// artifact built by an earlier experiment must be the one a fresh Scenario
+// would build.
+func TestSharedScenarioMatchesFresh(t *testing.T) {
+	ids := []string{"table9", "stealth", "ensemble"}
+	shared := NewScenario(fastOpts())
+	for _, id := range ids {
+		got, err := Run(id, shared)
+		if err != nil {
+			t.Fatalf("%s on the shared scenario: %v", id, err)
+		}
+		want, err := Run(id, NewScenario(fastOpts()))
+		if err != nil {
+			t.Fatalf("%s on a fresh scenario: %v", id, err)
+		}
+		if len(got.Rows) == 0 || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d rows shared, %d fresh", id, len(got.Rows), len(want.Rows))
+		}
+		for r := range want.Rows {
+			if strings.Join(got.Rows[r], "|") != strings.Join(want.Rows[r], "|") {
+				t.Errorf("%s row %d: shared %q, fresh %q", id, r, got.Rows[r], want.Rows[r])
+			}
+		}
+	}
+	// The later experiments reused what table9 built instead of rebuilding it.
+	if n := len(shared.victims); n != 3 {
+		t.Errorf("shared scenario holds %d victims, want 3 (I3D, SlowFast, TPN)", n)
+	}
+	if n := len(shared.surrogates); n != 2 {
+		t.Errorf("shared scenario holds %d surrogates, want 2 (C3D, Resnet18)", n)
+	}
+}
+
 func TestScenarioUnknownDataset(t *testing.T) {
 	s := NewScenario(fastOpts())
 	if _, err := s.Corpus("Kinetics"); err == nil {
@@ -104,7 +139,7 @@ func TestScenarioUnknownDataset(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab, err := Fig3VictimMAP(fastOpts())
+	tab, err := Fig3VictimMAP(NewScenario(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +159,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestTable2HeadlineShape(t *testing.T) {
-	tab, err := Table2AttackComparison(fastOpts())
+	tab, err := Table2AttackComparison(NewScenario(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +205,7 @@ func TestTable2HeadlineShape(t *testing.T) {
 }
 
 func TestTable5KSweepShape(t *testing.T) {
-	tab, err := Table5KSweep(fastOpts())
+	tab, err := Table5KSweep(NewScenario(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +231,7 @@ func TestTable5KSweepShape(t *testing.T) {
 }
 
 func TestFig5TrajectoriesDecrease(t *testing.T) {
-	tab, err := Fig5QueryCurves(fastOpts())
+	tab, err := Fig5QueryCurves(NewScenario(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +249,7 @@ func TestFig5TrajectoriesDecrease(t *testing.T) {
 }
 
 func TestTable10RatesInRange(t *testing.T) {
-	tab, err := Table10Defenses(fastOpts())
+	tab, err := Table10Defenses(NewScenario(fastOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +274,7 @@ func TestSmallScalePresetWorks(t *testing.T) {
 	// sound end to end (geometry, budgets, training settings).
 	o := Options{Scale: Small, Seed: 1,
 		Datasets: []string{UCF101Sim}, VictimArchs: []string{"C3D"}}
-	tab, err := Fig3VictimMAP(o)
+	tab, err := Fig3VictimMAP(NewScenario(o))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,9 @@ const DefaultVictimLoss = "ArcFaceLoss"
 func VictimLossNames() []string { return []string{"ArcFaceLoss", "LiftedLoss", "AngularLoss"} }
 
 // Scenario lazily builds and caches the expensive artifacts experiments
-// share: corpora, trained victim engines, and stolen surrogates. It is safe
+// share: corpora, trained victim engines, and stolen surrogates. One
+// Scenario serves a whole run (cmd/duobench builds one per invocation), so
+// each artifact is built once however many experiments use it. It is safe
 // for sequential use (experiments run one at a time).
 type Scenario struct {
 	Opts Options
@@ -96,22 +98,6 @@ func (s *Scenario) Corpus(name string) (*dataset.Corpus, error) {
 	return c, nil
 }
 
-// buildLoss instantiates a metric loss by its table name.
-func (s *Scenario) buildLoss(name string, rng *rand.Rand, classes int) (losses.MetricLoss, error) {
-	switch name {
-	case "ArcFaceLoss":
-		return losses.NewArcFace(rng, classes, s.P.FeatDim), nil
-	case "LiftedLoss":
-		return losses.Lifted{Margin: 1.0}, nil
-	case "AngularLoss":
-		return losses.Angular{AlphaDeg: 40}, nil
-	case "Triplet":
-		return losses.Triplet{Margin: 0.2}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown loss %q", name)
-	}
-}
-
 // Victim returns (training on first use) a victim retrieval engine for the
 // dataset, backbone, and loss. Its model is frozen once trained.
 func (s *Scenario) Victim(ds, arch, lossName string) (*retrieval.Engine, error) {
@@ -132,7 +118,7 @@ func (s *Scenario) Victim(ds, arch, lossName string) (*retrieval.Engine, error) 
 	if err != nil {
 		return nil, err
 	}
-	loss, err := s.buildLoss(lossName, rng, c.Categories)
+	loss, err := losses.ByName(lossName, rng, c.Categories, s.P.FeatDim)
 	if err != nil {
 		return nil, err
 	}
@@ -208,11 +194,4 @@ func (s *Scenario) Pairs(ds string) ([]dataset.AttackPair, error) {
 	}
 	rng := rand.New(rand.NewSource(s.Opts.Seed + 31337))
 	return dataset.SamplePairs(rng, c.Train, s.P.Pairs), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

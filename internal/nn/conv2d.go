@@ -31,11 +31,6 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, s int) *Conv2D {
 	}
 }
 
-// OutShape returns the output shape for an input of shape [C,H,W].
-func (l *Conv2D) OutShape(in []int) []int {
-	return []int{l.OutC, outDim(in[1], l.KH, l.SH, l.PH), outDim(in[2], l.KW, l.SW, l.PW)}
-}
-
 // geometry views the layer, on an input of shape in ([C,H,W]), as a
 // one-frame 3-D convolution with a 1×KH×KW kernel. It panics on a shape the
 // layer cannot take.

@@ -39,11 +39,6 @@ func NewConv3DFull(rng *rand.Rand, inC, outC int, kernel, stride, pad [3]int) *C
 	}
 }
 
-// OutShape returns the output shape for an input of shape [C,T,H,W].
-func (l *Conv3D) OutShape(in []int) []int {
-	return []int{l.OutC, outDim(in[1], l.KT, l.ST, l.PT), outDim(in[2], l.KH, l.SH, l.PH), outDim(in[3], l.KW, l.SW, l.PW)}
-}
-
 // geometry is the layer's geometry on an input of shape in ([C,T,H,W]). It
 // panics on a shape the layer cannot take.
 func (l *Conv3D) geometry(in []int) convDims {

@@ -10,7 +10,9 @@
 package losses
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 
 	"duo/internal/mathx"
 	"duo/internal/nn"
@@ -26,6 +28,24 @@ type MetricLoss interface {
 	// Params returns learnable loss parameters (e.g. the ArcFace class
 	// weight matrix); nil when the loss is parameter-free.
 	Params() []*nn.Param
+}
+
+// ByName builds a metric loss by its table name: "ArcFaceLoss",
+// "LiftedLoss", "AngularLoss" or "Triplet", with the paper's settings. Only
+// ArcFace draws from rng (its classes×dim weight matrix).
+func ByName(name string, rng *rand.Rand, classes, dim int) (MetricLoss, error) {
+	switch name {
+	case "ArcFaceLoss":
+		return NewArcFace(rng, classes, dim), nil
+	case "LiftedLoss":
+		return Lifted{Margin: 1.0}, nil
+	case "AngularLoss":
+		return Angular{AlphaDeg: 40}, nil
+	case "Triplet":
+		return Triplet{Margin: 0.2}, nil
+	default:
+		return nil, fmt.Errorf("losses: unknown loss %q", name)
+	}
 }
 
 func zeroGrads(embs []*tensor.Tensor) []*tensor.Tensor {

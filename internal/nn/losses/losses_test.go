@@ -234,6 +234,29 @@ func TestLossNames(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, name := range []string{"ArcFaceLoss", "LiftedLoss", "AngularLoss", "Triplet"} {
+		l, err := ByName(name, rand.New(rand.NewSource(8)), 3, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if l.Name() != name {
+			t.Errorf("ByName(%q).Name() = %q", name, l.Name())
+		}
+	}
+	// ArcFace draws its class centres exactly as NewArcFace does.
+	got, _ := ByName("ArcFaceLoss", rand.New(rand.NewSource(8)), 3, 4)
+	want := NewArcFace(rand.New(rand.NewSource(8)), 3, 4)
+	for i, w := range want.W.Value.Data() {
+		if got.Params()[0].Value.Data()[i] != w {
+			t.Fatalf("ArcFace centre %d = %g, want %g", i, got.Params()[0].Value.Data()[i], w)
+		}
+	}
+	if _, err := ByName("Contrastive", rand.New(rand.NewSource(8)), 3, 4); err == nil {
+		t.Error("unknown loss accepted")
+	}
+}
+
 func TestSingleClassBatchNoNaN(t *testing.T) {
 	// All labels equal: no negatives, losses must return 0 without NaN.
 	embs, _ := randEmbs(9, 3, 2)

@@ -11,13 +11,6 @@ import (
 	"duo/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using each parameter's current .Grad and
-	// then leaves the gradients untouched (callers zero them).
-	Step(params []*nn.Param)
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, ICLR'15).
 type Adam struct {
 	LR    float64
@@ -30,8 +23,6 @@ type Adam struct {
 	v map[*nn.Param]*tensor.Tensor
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam returns Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
 func NewAdam(lr float64) *Adam {
 	return &Adam{
@@ -41,7 +32,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update using each parameter's current .Grad and then
+// leaves the gradients untouched (callers zero them).
 func (o *Adam) Step(params []*nn.Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
