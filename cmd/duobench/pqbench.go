@@ -140,7 +140,7 @@ func (p *ivfProbe) Nearest(feat []float64, m int) []retrieval.Result {
 		cd[c] = cellDist{cell: c, d: q.SquaredDistance(cent)}
 	}
 	sort.Slice(cd, func(a, b int) bool {
-		if cd[a].d != cd[b].d { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+		if cd[a].d != cd[b].d { // exact equality is the tie: both operands are the same unrounded computation
 			return cd[a].d < cd[b].d
 		}
 		return cd[a].cell < cd[b].cell
@@ -150,7 +150,7 @@ func (p *ivfProbe) Nearest(feat []float64, m int) []retrieval.Result {
 		merged = append(merged, p.cells[c.cell].Nearest(feat, m)...)
 	}
 	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Dist != merged[b].Dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+		if merged[a].Dist != merged[b].Dist { // exact equality is the tie: both operands are the same unrounded computation
 			return merged[a].Dist < merged[b].Dist
 		}
 		return merged[a].ID < merged[b].ID

@@ -20,21 +20,21 @@ func TestBadModuleFindings(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d diagnostics, want 3:\n%s", len(lines), stdout.String())
+	if len(lines) != 2 {
+		t.Fatalf("got %d diagnostics, want 2:\n%s", len(lines), stdout.String())
 	}
-	format := regexp.MustCompile(`^bad\.go:\d+:\d+: \[(detrand|walltime|floateq)\] .+$`)
+	format := regexp.MustCompile(`^bad\.go:\d+:\d+: \[(detrand|walltime)\] .+$`)
 	for _, ln := range lines {
 		if !format.MatchString(ln) {
 			t.Errorf("diagnostic %q does not match file:line:col: [rule] message", ln)
 		}
 	}
-	for _, rule := range []string{"detrand", "walltime", "floateq"} {
+	for _, rule := range []string{"detrand", "walltime"} {
 		if !strings.Contains(stdout.String(), "["+rule+"]") {
 			t.Errorf("missing a %s finding in:\n%s", rule, stdout.String())
 		}
 	}
-	if !strings.Contains(stderr.String(), "3 finding(s)") {
+	if !strings.Contains(stderr.String(), "2 finding(s)") {
 		t.Errorf("stderr summary missing: %q", stderr.String())
 	}
 }
@@ -42,13 +42,13 @@ func TestBadModuleFindings(t *testing.T) {
 // TestRulesSubset checks -rules restricts the run to the named analyzers.
 func TestRulesSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run(badmodDir, []string{"-rules", "floateq"}, &stdout, &stderr)
+	code := run(badmodDir, []string{"-rules", "walltime"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "[floateq]") || strings.Contains(out, "[detrand]") || strings.Contains(out, "[walltime]") {
-		t.Errorf("-rules floateq output wrong:\n%s", out)
+	if !strings.Contains(out, "[walltime]") || strings.Contains(out, "[detrand]") {
+		t.Errorf("-rules walltime output wrong:\n%s", out)
 	}
 
 	stdout.Reset()
@@ -80,8 +80,8 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
 	}
-	if len(diags) != 3 {
-		t.Fatalf("got %d JSON diagnostics, want 3", len(diags))
+	if len(diags) != 2 {
+		t.Fatalf("got %d JSON diagnostics, want 2", len(diags))
 	}
 	for _, d := range diags {
 		if d.File != "bad.go" || d.Line <= 0 || d.Col <= 0 || d.Rule == "" || d.Message == "" {
@@ -97,7 +97,7 @@ func TestListRules(t *testing.T) {
 	if code := run(badmodDir, []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit %d, want 0", code)
 	}
-	want := []string{"detrand", "walltime", "floateq", "billedquery", "telemetryro", "gobsymmetry"}
+	want := []string{"detrand", "walltime", "billedquery", "telemetryro", "gobsymmetry"}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("-list printed %d rules, want %d:\n%s", len(lines), len(want), stdout.String())

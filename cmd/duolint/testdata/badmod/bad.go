@@ -1,6 +1,6 @@
 // Package badmod is a deliberately contract-violating module for
-// cmd/duolint's end-to-end test: one finding each for detrand, walltime,
-// and floateq, at stable positions.
+// cmd/duolint's end-to-end test: one finding each for detrand and
+// walltime, at stable positions.
 package badmod
 
 import (
@@ -11,9 +11,4 @@ import (
 // Jitter violates detrand (global source) and walltime (clock read).
 func Jitter() time.Time {
 	return time.Now().Add(time.Duration(rand.Intn(1000)))
-}
-
-// Same violates floateq.
-func Same(a, b float64) bool {
-	return a == b
 }

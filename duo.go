@@ -500,7 +500,7 @@ func (s *System) report(v, vt *Video, out *attack.Outcome) *Report {
 	}
 }
 
-// String renders the report in the layout duoattack and the examples print.
+// String renders the report in the layout duoattack prints.
 func (r *Report) String() string {
 	succeeded := r.APAfter > r.APBefore
 	if r.untargeted {

@@ -4,8 +4,7 @@
 //
 //   - the determinism contract (DESIGN.md §9): bitwise-identical results at
 //     any worker count, all randomness through a seeded *rand.Rand, no
-//     wall-clock reads in computation paths, no map-iteration-order leaks,
-//     no accidental float equality;
+//     wall-clock reads in computation paths;
 //   - the query-billing invariant: every victim Retrieve/RetrieveBatch in
 //     the attack path is billed against the query budget — the property
 //     that makes DUO's query-efficiency numbers measurable;

@@ -24,7 +24,6 @@ var fixtureCases = []struct {
 }{
 	{"detrand/fix", []*Analyzer{Detrand}},
 	{"walltime/fix", []*Analyzer{Walltime}},
-	{"floateq/fix", []*Analyzer{Floateq}},
 	{"billedquery/core", []*Analyzer{Billedquery}},
 	{"billedquery/other", []*Analyzer{Billedquery}},
 	{"telemetryro/telemetry", []*Analyzer{Telemetryro}},
@@ -132,13 +131,13 @@ func TestRepoIsClean(t *testing.T) {
 // TestSelect covers the -rules plumbing: known subsets resolve in order,
 // unknown names are rejected by name.
 func TestSelect(t *testing.T) {
-	sel, bad := Select([]string{"floateq", "detrand"})
-	if bad != "" || len(sel) != 2 || sel[0] != Floateq || sel[1] != Detrand {
+	sel, bad := Select([]string{"walltime", "detrand"})
+	if bad != "" || len(sel) != 2 || sel[0] != Walltime || sel[1] != Detrand {
 		t.Fatalf("Select known: got %v bad=%q", sel, bad)
 	}
-	// mapiter was a rule until map-order pins replaced it (DESIGN §11);
-	// naming it now is a typo like any other.
-	for _, name := range []string{"nope", "mapiter"} {
+	// mapiter and floateq were rules until they were retired (DESIGN §11);
+	// naming one now is a typo like any other.
+	for _, name := range []string{"nope", "mapiter", "floateq"} {
 		if _, bad := Select([]string{"detrand", name}); bad != name {
 			t.Errorf("Select unknown: bad=%q, want %s", bad, name)
 		}

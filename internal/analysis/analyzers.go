@@ -5,7 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand,
 		Walltime,
-		Floateq,
 		Billedquery,
 		Telemetryro,
 		Gobsymmetry,

@@ -100,7 +100,7 @@ func (evolutionary) Optimize(o *Oracle) error {
 	// fitter orders two individuals: lower 𝕋 wins, index breaks ties so
 	// selection is deterministic under equal fitness.
 	fitter := func(a, b int) bool {
-		if fit[a] != fit[b] { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+		if fit[a] != fit[b] { // exact equality is the tie: both operands are the same unrounded computation
 			return fit[a] < fit[b]
 		}
 		return a < b

@@ -281,7 +281,7 @@ func (o *Oracle) setClamped(cand *video.Video, idx int, nv float64) bool {
 	base := o.v.Data.Data()[idx]
 	nv = math.Max(base-o.cfg.Tau, math.Min(base+o.cfg.Tau, nv))
 	nv = math.Max(video.PixelMin, math.Min(video.PixelMax, nv))
-	if nv == d[idx] { //duolint:allow floateq exact no-op detection: a clipped step is worth a query iff it changed at least one bit
+	if nv == d[idx] { // a clipped step is worth a query iff it changed at least one bit
 		return false
 	}
 	d[idx] = nv

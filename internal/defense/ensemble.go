@@ -60,7 +60,7 @@ func (e *Ensemble) Retrieve(v *video.Video, m int) []retrieval.Result {
 		all = append(all, f)
 	}
 	sort.Slice(all, func(a, b int) bool {
-		if all[a].score != all[b].score { //duolint:allow floateq comparator tie-break: fusion scores are sums of small ints in float form, exact by construction
+		if all[a].score != all[b].score { // fusion scores are sums of small ints in float form, exact by construction
 			return all[a].score > all[b].score
 		}
 		return all[a].res.ID < all[b].res.ID

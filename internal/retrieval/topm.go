@@ -36,7 +36,7 @@ import (
 // tie-breaking. It is a strict total order whenever gallery IDs are unique,
 // which is what makes the sharded scan reproduce `nearest` exactly.
 func resultLess(a, b Result) bool {
-	if a.Dist != b.Dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+	if a.Dist != b.Dist { // exact equality is the tie: both operands are the same unrounded computation
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
@@ -47,7 +47,7 @@ func resultLess(a, b Result) bool {
 // order is strictly total over unique IDs, so the sorted sequence is
 // unique regardless of the algorithm.
 func cmpResult(a, b Result) int {
-	if a.Dist != b.Dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+	if a.Dist != b.Dist { // exact equality is the tie: both operands are the same unrounded computation
 		if a.Dist < b.Dist {
 			return -1
 		}
@@ -70,7 +70,7 @@ type scored struct {
 type rowOrder []string
 
 func (ids rowOrder) cmp(a, b scored) int {
-	if a.dist != b.dist { //duolint:allow floateq comparator tie-break: exact equality IS the tie, and both operands are the same unrounded computation
+	if a.dist != b.dist { // exact equality is the tie: both operands are the same unrounded computation
 		if a.dist < b.dist {
 			return -1
 		}

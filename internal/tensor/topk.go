@@ -40,7 +40,7 @@ func TopK(vals []float64, k int) []int {
 		}
 	}
 	for i, v := range vals {
-		if len(idx) < k && v == kth { //duolint:allow floateq selection tie: kth is one of vals, and exact equality IS the tie the order breaks by index
+		if len(idx) < k && v == kth { // kth is one of vals: exact equality is the tie the order breaks by index
 			idx = append(idx, i)
 		}
 	}

@@ -126,27 +126,3 @@ func (p *Perturbation) EffectiveDelta(v *Video) *tensor.Tensor {
 	adv := p.Apply(v)
 	return adv.Data.Sub(v.Data)
 }
-
-// Resize returns a spatially resized copy of v using nearest-neighbour
-// sampling — enough to adapt clips across gallery geometries (retrieval
-// services normalize inputs to the model's expected resolution, §III-A).
-func (v *Video) Resize(height, width int) *Video {
-	if height <= 0 || width <= 0 {
-		panic(fmt.Sprintf("video: bad resize target %d×%d", height, width))
-	}
-	out := New(v.Frames(), v.Channels(), height, width)
-	out.Label, out.ID = v.Label, v.ID
-	srcH, srcW := v.Height(), v.Width()
-	for f := 0; f < v.Frames(); f++ {
-		for c := 0; c < v.Channels(); c++ {
-			for y := 0; y < height; y++ {
-				sy := y * srcH / height
-				for x := 0; x < width; x++ {
-					sx := x * srcW / width
-					out.Data.Set(v.Data.At(f, c, sy, sx), f, c, y, x)
-				}
-			}
-		}
-	}
-	return out
-}

@@ -152,48 +152,3 @@ func TestPropSpaNeverExceedsElements(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestResizeIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := New(2, 3, 6, 6)
-	v.Data.FillUniform(rng, 0, 255)
-	same := v.Resize(6, 6)
-	if !same.Data.Equal(v.Data, 0) {
-		t.Error("identity resize changed pixels")
-	}
-	if same.Label != v.Label || same.ID != v.ID {
-		t.Error("resize lost identity")
-	}
-}
-
-func TestResizeUpDown(t *testing.T) {
-	v := New(1, 1, 2, 2)
-	v.Data.Set(10, 0, 0, 0, 0)
-	v.Data.Set(20, 0, 0, 0, 1)
-	v.Data.Set(30, 0, 0, 1, 0)
-	v.Data.Set(40, 0, 0, 1, 1)
-	up := v.Resize(4, 4)
-	if up.Height() != 4 || up.Width() != 4 {
-		t.Fatalf("up geometry %dx%d", up.Height(), up.Width())
-	}
-	// Nearest-neighbour: top-left 2×2 block replicates value 10.
-	for _, pos := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
-		if got := up.Data.At(0, 0, pos[0], pos[1]); got != 10 {
-			t.Errorf("up[%v] = %g, want 10", pos, got)
-		}
-	}
-	down := up.Resize(2, 2)
-	if !down.Data.Equal(v.Data, 0) {
-		t.Error("up-then-down did not restore the original")
-	}
-}
-
-func TestResizePanicsOnBadTarget(t *testing.T) {
-	v := New(1, 1, 2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for 0-width resize")
-		}
-	}()
-	v.Resize(2, 0)
-}
